@@ -30,12 +30,12 @@ residual-gate:
 
 # The trust-boundary gate: the cross-org scope-refusal property (any
 # bundle signed by org A's key that names an org-B policy is refused
-# with ErrScope), the multi-root distributor refusal path, and the E21
-# coalition chaos run with its exact books and 1/2/4-worker
-# determinism differential.
+# with ErrScope), the multi-root distributor refusal path (including
+# reports naming an org with no root), and the E21 coalition chaos run
+# with its exact books and 1/2/4-worker determinism differential.
 scope-gate:
 	go test -run 'TestScope|TestAgentsTwoRootsOneSet|TestKeyRing' ./internal/bundle
-	go test -run 'TestDistributorMultiRoot|TestDistributorForged|TestDistributorBadPayload|TestDistributorEncodeFailure' \
+	go test -run 'TestDistributorMultiRoot|TestDistributorForged|TestDistributorBadPayload|TestDistributorEncodeFailure|TestDistributorUnknownOrg' \
 		./internal/core
 	go test -run 'TestE21' ./internal/experiments
 

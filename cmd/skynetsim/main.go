@@ -249,8 +249,7 @@ func run(args []string, out io.Writer) error {
 
 	// One registry and one tracer back everything: framework telemetry,
 	// experiment tallies, the exposition endpoint and the JSONL export.
-	metrics := sim.NewMetrics()
-	registry := metrics.Registry()
+	registry := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(registry))
 
 	var server *telemetry.Server
@@ -323,7 +322,7 @@ func run(args []string, out io.Writer) error {
 		bus = network.NewBus(rand.New(rand.NewSource(seed)),
 			network.WithLoss(sc.Chaos.Loss),
 			network.WithDuplication(sc.Chaos.Duplication),
-			network.WithMetrics(metrics))
+			network.WithMetrics(registry))
 		sender = &network.ReliableSender{
 			Bus: bus,
 			Retry: resilience.Retry{
@@ -332,7 +331,7 @@ func run(args []string, out io.Writer) error {
 				Rand:        rand.New(rand.NewSource(seed + 1)).Float64,
 			},
 			Breakers: &resilience.BreakerSet{Threshold: 3, Cooldown: time.Minute},
-			Metrics:  metrics,
+			Metrics:  registry,
 		}
 		coreCfg.Bus = bus
 	}
@@ -347,7 +346,7 @@ func run(args []string, out io.Writer) error {
 		}
 		bus = network.NewBus(rand.New(rand.NewSource(seed)),
 			network.WithLoss(sc.Bundle.Loss),
-			network.WithMetrics(metrics))
+			network.WithMetrics(registry))
 		coreCfg.Bus = bus
 	}
 
@@ -371,7 +370,7 @@ func run(args []string, out io.Writer) error {
 		}
 		bus = network.NewBus(nil,
 			network.WithEngine(engine),
-			network.WithMetrics(metrics),
+			network.WithMetrics(registry),
 			network.WithAdmission(intake))
 	}
 	collective, err := core.New(coreCfg)
@@ -443,7 +442,7 @@ func run(args []string, out io.Writer) error {
 		delivered, dropped := bus.Stats()
 		fmt.Fprintf(out, "  chaos: delivered=%d dropped=%d duplicated=%d retries=%d breaker-opens=%d send-failures=%d recoveries=%d\n",
 			delivered, dropped, bus.Duplicated(),
-			metrics.Counter("resilience.retries"), sender.Breakers.Opens(),
+			registry.CounterTotal("resilience.retries"), sender.Breakers.Opens(),
 			sendFailures, recoveries)
 	}
 	if sc.Saturation != nil {
@@ -457,16 +456,16 @@ func run(args []string, out io.Writer) error {
 	if sc.Bundle != nil {
 		r := bundleResult
 		fmt.Fprintf(out, "  bundle: revision=%d converged=%v activated{full=%d delta=%d} repairs=%d pulls=%d corrupt-rejected=%d/%d\n",
-			r.dist.Revision(), r.dist.Converged(),
+			r.dist.RootRevision(""), r.dist.Converged(),
 			registry.Counter("bundle.activated", "kind", "full").Value(),
 			registry.Counter("bundle.activated", "kind", "delta").Value(),
 			registry.Counter("bundle.repairs").Value(),
 			registry.Counter("bundle.pulls").Value(),
 			r.corruptRejected, r.corruptDelivered)
-		if err := r.dist.Ledger().Verify(); err != nil {
+		if err := r.dist.RootLedger("").Verify(); err != nil {
 			return fmt.Errorf("activation ledger broken: %w", err)
 		}
-		fmt.Fprintf(out, "  bundle ledger: %d entries, chain verified\n", r.dist.Ledger().Len())
+		fmt.Fprintf(out, "  bundle ledger: %d entries, chain verified\n", r.dist.RootLedger("").Len())
 	}
 	if err := log.Verify(); err != nil {
 		return fmt.Errorf("audit chain broken: %w", err)
@@ -764,7 +763,7 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 	}
 	key := bundle.HMACKey{ID: "skynetsim", Secret: []byte("skynetsim-bundle-" + sc.Name)}
 	dist, err := core.NewDistributor(core.DistributorConfig{
-		Collective: collective, Signer: key, Telemetry: registry,
+		Collective: collective, Roots: []core.RootConfig{{Signer: key}}, Telemetry: registry,
 	})
 	if err != nil {
 		return nil, err
@@ -774,7 +773,7 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 		return nil, fmt.Errorf("bundle: no devices to enroll")
 	}
 	for _, d := range devices {
-		if err := dist.Enroll(d.ID(), key); err != nil {
+		if err := dist.EnrollRoots(d.ID(), key, ""); err != nil {
 			return nil, err
 		}
 	}
@@ -783,7 +782,7 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 		if err != nil {
 			return nil, fmt.Errorf("bundle revision %d: %w", i+1, err)
 		}
-		rev, err := dist.Publish(pols)
+		rev, err := dist.PublishRoot("", pols)
 		if err != nil {
 			return nil, fmt.Errorf("bundle revision %d: %w", i+1, err)
 		}
@@ -794,7 +793,7 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 		}
 		if !dist.Converged() {
 			return nil, fmt.Errorf("bundle revision %d: fleet not converged after %d repair sweeps; lagging %v",
-				rev, sweeps, dist.Lagging())
+				rev, sweeps, dist.LaggingRoot(""))
 		}
 		fmt.Fprintf(out, "bundle revision %d: %d policies converged after %d repair sweeps\n",
 			rev, len(pols), sweeps)
@@ -852,9 +851,9 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 			delivered, summary.corruptRejected)
 	}
 	for _, d := range devices {
-		if got := d.Policies().Revision(); got != dist.Revision() {
+		if got := d.Policies().Revision(); got != dist.RootRevision("") {
 			return nil, fmt.Errorf("bundle: %s at revision %d after corrupt pushes, want %d",
-				d.ID(), got, dist.Revision())
+				d.ID(), got, dist.RootRevision(""))
 		}
 	}
 	return summary, nil

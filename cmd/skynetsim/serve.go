@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/server"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -75,8 +74,7 @@ func runServe(args []string, out io.Writer) error {
 		}
 	}
 
-	metrics := sim.NewMetrics()
-	registry := metrics.Registry()
+	registry := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(registry))
 	log := audit.New()
 

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Injector carries the handles faults act on.
@@ -29,7 +30,7 @@ type Injector struct {
 	// by Loss, Partition, Duplication and SlowLinks.
 	Bus *network.Bus
 	// Metrics counts injections and heals; may be nil.
-	Metrics *sim.Metrics
+	Metrics *telemetry.Registry
 	// Rand drives randomized faults; may be nil when no fault needs
 	// it.
 	Rand *rand.Rand
@@ -39,9 +40,7 @@ type Injector struct {
 // "loss.injected" land in the registry as chaos.loss_injected — one
 // dot, per the subsystem.name convention.
 func (inj *Injector) Count(name string) {
-	if inj.Metrics != nil {
-		inj.Metrics.Inc("chaos."+strings.ReplaceAll(name, ".", "_"), 1)
-	}
+	inj.Metrics.Counter("chaos." + strings.ReplaceAll(name, ".", "_")).Inc()
 }
 
 // Fault is one injectable failure mode. Inject schedules the fault's

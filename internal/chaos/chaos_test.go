@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
-func newHarness(t *testing.T) (*Injector, *sim.Engine, *network.Bus, *sim.Metrics) {
+func newHarness(t *testing.T) (*Injector, *sim.Engine, *network.Bus, *telemetry.Registry) {
 	t.Helper()
 	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
 	engine := sim.NewEngine(clock)
-	metrics := sim.NewMetrics()
+	metrics := telemetry.NewRegistry()
 	bus := network.NewBus(rand.New(rand.NewSource(1)),
 		network.WithEngine(engine), network.WithMetrics(metrics))
 	return &Injector{Engine: engine, Bus: bus, Metrics: metrics, Rand: rand.New(rand.NewSource(2))},
@@ -48,8 +49,8 @@ func TestLossWindow(t *testing.T) {
 	if after != nil {
 		t.Errorf("send after heal failed: %v", after)
 	}
-	if metrics.Counter("chaos.loss_injected") != 1 || metrics.Counter("chaos.loss_healed") != 1 {
-		t.Errorf("loss metrics = %d/%d", metrics.Counter("chaos.loss_injected"), metrics.Counter("chaos.loss_healed"))
+	if metrics.CounterTotal("chaos.loss_injected") != 1 || metrics.CounterTotal("chaos.loss_healed") != 1 {
+		t.Errorf("loss metrics = %d/%d", metrics.CounterTotal("chaos.loss_injected"), metrics.CounterTotal("chaos.loss_healed"))
 	}
 }
 
@@ -93,8 +94,8 @@ func TestDuplicationWindow(t *testing.T) {
 	if got != 2 {
 		t.Errorf("deliveries = %d, want 2 (original + duplicate)", got)
 	}
-	if bus.Duplicated() != 1 || metrics.Counter("bus.duplicated") != 1 {
-		t.Errorf("duplicated = %d, metric = %d", bus.Duplicated(), metrics.Counter("bus.duplicated"))
+	if bus.Duplicated() != 1 || metrics.CounterTotal("bus.duplicated") != 1 {
+		t.Errorf("duplicated = %d, metric = %d", bus.Duplicated(), metrics.CounterTotal("bus.duplicated"))
 	}
 	delivered, dropped := bus.Stats()
 	if delivered != 1 || dropped != 0 {
@@ -136,8 +137,8 @@ func TestClockSkewJumpsClock(t *testing.T) {
 	if got := engine.Clock().Now().Sub(start); got != 100*time.Second {
 		t.Errorf("clock advanced %v, want 1m40s", got)
 	}
-	if metrics.Counter("chaos.skew_injected") != 3 {
-		t.Errorf("skew count = %d", metrics.Counter("chaos.skew_injected"))
+	if metrics.CounterTotal("chaos.skew_injected") != 3 {
+		t.Errorf("skew count = %d", metrics.CounterTotal("chaos.skew_injected"))
 	}
 }
 
@@ -157,9 +158,9 @@ func TestCrashRestart(t *testing.T) {
 	if len(events) != 2 || events[0] != "crash:d1" || events[1] != "restart:d1" {
 		t.Errorf("events = %v", events)
 	}
-	if metrics.Counter("chaos.crash_injected") != 1 || metrics.Counter("chaos.crash_restarted") != 1 {
+	if metrics.CounterTotal("chaos.crash_injected") != 1 || metrics.CounterTotal("chaos.crash_restarted") != 1 {
 		t.Errorf("crash metrics = %d/%d",
-			metrics.Counter("chaos.crash_injected"), metrics.Counter("chaos.crash_restarted"))
+			metrics.CounterTotal("chaos.crash_injected"), metrics.CounterTotal("chaos.crash_restarted"))
 	}
 }
 
@@ -183,8 +184,8 @@ func TestScheduleApplyAndNames(t *testing.T) {
 	if err := engine.Run(horizonOf(engine, time.Minute)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if metrics.Counter("chaos.loss_injected") != 2 {
-		t.Errorf("loss injections = %d, want 2", metrics.Counter("chaos.loss_injected"))
+	if metrics.CounterTotal("chaos.loss_injected") != 2 {
+		t.Errorf("loss injections = %d, want 2", metrics.CounterTotal("chaos.loss_injected"))
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/coalition"
 	"repro/internal/device"
@@ -356,6 +357,31 @@ func (c *Collective) DeliverWith(target string, ev policy.Event, j audit.Journal
 	return execs, nil
 }
 
+// AdmitCommand is the one admission gate on the human-command path:
+// the control-plane server and the Dispatcher both call it once per
+// target before delivery. A nil controller admits everything. A shed
+// target is never dropped silently: it is counted under
+// core.command_shed{cause} and audited as a KindAdmission entry
+// carrying the target, the cause and, when sc is valid, the trace ID.
+// It returns the shed cause, or "" when the target is admitted.
+func (c *Collective) AdmitCommand(ctrl *admission.Controller, source, target string, sc telemetry.SpanContext) string {
+	if ctrl == nil {
+		return ""
+	}
+	err := ctrl.Allow(target, admission.ClassHuman)
+	if err == nil {
+		return ""
+	}
+	cause := admission.CauseOf(err)
+	c.metrics.Counter("core.command_shed", "cause", cause).Inc()
+	ctx := map[string]string{"target": target, "cause": cause}
+	if sc.Valid() {
+		ctx["trace"] = sc.Trace.String()
+	}
+	c.log.Append(audit.KindAdmission, source, fmt.Sprintf("command to %s shed (%s)", target, cause), ctx)
+	return cause
+}
+
 // Command broadcasts a human command (Figure 1) to every active member
 // and returns each member's executions, keyed by device ID. With a
 // tracer attached, each command opens a root span ("core.command") and
@@ -448,14 +474,10 @@ func (c *Collective) handlerFor(d *device.Device) network.LaneHandler {
 }
 
 // RecordPolicyMetrics publishes each member's decision-plane counters
-// into the metrics registry as device-labeled gauges: policy.epoch
-// (snapshot epoch last evaluated under), policy.compiles and
-// policy.compile_ms (latest compile latency). A nil facade is a no-op.
-func (c *Collective) RecordPolicyMetrics(m *sim.Metrics) {
-	if m == nil {
-		return
-	}
-	reg := m.Registry()
+// into the registry as device-labeled gauges: policy.epoch (snapshot
+// epoch last evaluated under), policy.compiles and policy.compile_ms
+// (latest compile latency). A nil registry is a no-op.
+func (c *Collective) RecordPolicyMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

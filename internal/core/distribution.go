@@ -61,7 +61,8 @@ type BundlePull struct {
 // RootConfig is one org root of a multi-root distributor: an
 // independent revision stream signed by that organization's key.
 type RootConfig struct {
-	// Org names the organization ("" = the single-root deployment).
+	// Org names the organization; a single-root deployment is one root
+	// with Org "".
 	Org string
 	// Signer signs every bundle the root publishes (required).
 	Signer bundle.Signer
@@ -71,12 +72,9 @@ type RootConfig struct {
 type DistributorConfig struct {
 	// Collective is the managed fleet (required).
 	Collective *Collective
-	// Signer is the single-root shorthand: equivalent to Roots holding
-	// exactly {Org: "", Signer: Signer}. Exactly one of Signer and
-	// Roots must be set.
-	Signer bundle.Signer
-	// Roots declares the org roots of a coalition deployment, each with
-	// its own signing key, revision stream and activation ledger.
+	// Roots declares the org roots (at least one), each with its own
+	// signing key, revision stream and activation ledger. A single-root
+	// deployment is []RootConfig{{Signer: key}}.
 	Roots []RootConfig
 	// ID is the distributor's bus node name; defaults to
 	// "bundle-distributor".
@@ -88,8 +86,8 @@ type DistributorConfig struct {
 	Clock func() time.Time
 	// Engine, when set, shards publish fan-out into batch events keyed
 	// like bus deliveries, so a publish to a large fleet spreads over
-	// the worker pool instead of looping synchronously. Nil keeps
-	// fan-out synchronous (small fleets, engine-less tests).
+	// the worker pool. Nil runs the same batches inline (small fleets,
+	// engine-less tests).
 	Engine *sim.Engine
 	// FanoutBatch is how many devices one sharded fan-out event covers;
 	// zero means 512.
@@ -177,7 +175,7 @@ func (r *distRoot) wireFor(base uint64) (wireEntry, error) {
 // revisions in hash-chained activation ledgers, and repairs lagging
 // devices by anti-entropy re-push (delta when the device's base is
 // still in history, full otherwise). All state a push or repair reads
-// is guarded by one mutex; Publish and RepairSweep must run from
+// is guarded by one mutex; PublishRoot and RepairSweep must run from
 // serial-barrier context (engine.Schedule callbacks or outside a run)
 // so bus fault sampling stays deterministic — with an Engine
 // configured, the per-device sends fan out as sharded batch events
@@ -212,7 +210,7 @@ type Distributor struct {
 	// (enrolled, or merely heard an ack from) owns one stable slot in
 	// fleet, found through its interned ID. order holds the enrolled
 	// slots sorted by device ID — the canonical fan-out order of
-	// Publish and RepairSweep — and sweep is the reusable repair
+	// PublishRoot and RepairSweep — and sweep is the reusable repair
 	// snapshot (serial-barrier callers only).
 	mu     sync.Mutex
 	names  *intern.Table
@@ -268,12 +266,7 @@ func NewDistributor(cfg DistributorConfig) (*Distributor, error) {
 	}
 	roots := cfg.Roots
 	if len(roots) == 0 {
-		if cfg.Signer == nil {
-			return nil, errors.New("core: distributor needs a signer or roots")
-		}
-		roots = []RootConfig{{Org: "", Signer: cfg.Signer}}
-	} else if cfg.Signer != nil {
-		return nil, errors.New("core: set either Signer or Roots, not both")
+		return nil, errors.New("core: distributor needs at least one root")
 	}
 	id := cfg.ID
 	if id == "" {
@@ -344,15 +337,6 @@ func NewDistributor(cfg DistributorConfig) (*Distributor, error) {
 	return x, nil
 }
 
-// rootIndex resolves an org to its root ("" and unknown orgs fall back
-// to root 0, the legacy single-root stream).
-func (x *Distributor) rootIndex(org string) int {
-	if ri, ok := x.rootOf[org]; ok {
-		return ri
-	}
-	return 0
-}
-
 // Orgs returns the root orgs in configuration order.
 func (x *Distributor) Orgs() []string {
 	out := make([]string, len(x.roots))
@@ -362,21 +346,15 @@ func (x *Distributor) Orgs() []string {
 	return out
 }
 
-// Ledger returns root 0's activation ledger: one hash-chained entry
-// per status report (ack or rejection) the root received.
-func (x *Distributor) Ledger() *audit.Log { return x.roots[0].ledger }
-
-// RootLedger returns one org root's activation ledger (nil for an
-// unknown org).
+// RootLedger returns one org root's activation ledger — one
+// hash-chained entry per status report (ack or rejection) the root
+// received — or nil for an unknown org.
 func (x *Distributor) RootLedger(org string) *audit.Log {
 	if ri, ok := x.rootOf[org]; ok {
 		return x.roots[ri].ledger
 	}
 	return nil
 }
-
-// Revision returns root 0's latest published revision.
-func (x *Distributor) Revision() uint64 { return x.roots[0].pub.Revision() }
 
 // RootRevision returns one org root's latest published revision (0
 // for an unknown org).
@@ -387,12 +365,6 @@ func (x *Distributor) RootRevision(org string) uint64 {
 	return 0
 }
 
-// AckedRevision returns a device's last acknowledged revision on
-// root 0.
-func (x *Distributor) AckedRevision(deviceID string) uint64 {
-	return x.ackedOn(0, deviceID)
-}
-
 // AckedRevisionRoot returns a device's last acknowledged revision on
 // one org root.
 func (x *Distributor) AckedRevisionRoot(org, deviceID string) uint64 {
@@ -400,34 +372,12 @@ func (x *Distributor) AckedRevisionRoot(org, deviceID string) uint64 {
 	if !ok {
 		return 0
 	}
-	return x.ackedOn(ri, deviceID)
-}
-
-func (x *Distributor) ackedOn(ri int, deviceID string) uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if slot, ok := x.slotOf[x.names.Lookup(deviceID)]; ok {
 		return x.fleet[slot].sub[ri].acked
 	}
 	return 0
-}
-
-// Lagging returns the enrolled devices whose acknowledged revision
-// trails the published one on any subscribed root, sorted.
-func (x *Distributor) Lagging() []string {
-	var out []string
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for _, slot := range x.order {
-		e := &x.fleet[slot]
-		for ri, r := range x.roots {
-			if e.sub[ri].subscribed && e.sub[ri].acked < r.pub.Revision() {
-				out = append(out, e.id)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // LaggingRoot returns the devices lagging one org root, sorted.
@@ -450,7 +400,19 @@ func (x *Distributor) LaggingRoot(org string) []string {
 
 // Converged reports whether every enrolled device acknowledged the
 // current revision of every root it subscribes to.
-func (x *Distributor) Converged() bool { return len(x.Lagging()) == 0 }
+func (x *Distributor) Converged() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, slot := range x.order {
+		e := &x.fleet[slot]
+		for ri, r := range x.roots {
+			if e.sub[ri].subscribed && e.sub[ri].acked < r.pub.Revision() {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // Stuck returns devices flagged as stuck on any root (repairs beyond
 // the threshold), sorted.
@@ -470,21 +432,16 @@ func (x *Distributor) Stuck() []string {
 	return out
 }
 
-// Enroll registers a collective member into the distribution plane,
-// subscribed to every root: one device-side bundle agent per root,
-// each verifying against v and bound to the member's policy set, with
-// the member's bundle topics routed to them. The agents fail closed —
-// every refused bundle is audited to the shared log with its cause,
-// reported back to the distributor, and leaves the device on its
-// previous verified revision.
-func (x *Distributor) Enroll(deviceID string, v bundle.Verifier) error {
-	return x.EnrollRoots(deviceID, v, x.Orgs()...)
-}
-
-// EnrollRoots registers a collective member subscribed to the given
-// org roots only — the coalition shape, where each org's devices
-// follow their own root's revision stream. A bundle claiming an org
-// the device is not subscribed to is refused with cause "scope".
+// EnrollRoots registers a collective member into the distribution
+// plane, subscribed to the given org roots: one device-side bundle
+// agent per root, each verifying against v and bound to the member's
+// policy set, with the member's bundle topics routed to them. In the
+// coalition shape each org's devices follow their own root's revision
+// stream; a bundle claiming an org the device is not subscribed to is
+// refused with cause "scope". The agents fail closed — every refused
+// bundle is audited to the shared log with its cause, reported back to
+// the distributor, and leaves the device on its previous verified
+// revision.
 func (x *Distributor) EnrollRoots(deviceID string, v bundle.Verifier, orgs ...string) error {
 	d, ok := x.col.Device(deviceID)
 	if !ok {
@@ -505,12 +462,7 @@ func (x *Distributor) EnrollRoots(deviceID string, v bundle.Verifier, orgs ...st
 		if _, dup := agents[org]; dup {
 			continue
 		}
-		var agent *bundle.Agent
-		if org == "" {
-			agent = bundle.NewAgent(d.Policies(), v)
-		} else {
-			agent = bundle.NewOrgAgent(d.Policies(), v, org)
-		}
+		agent := bundle.NewOrgAgent(d.Policies(), v, org)
 		agents[org] = agent
 		if primary == nil {
 			primary = agent
@@ -537,19 +489,12 @@ func (x *Distributor) EnrollRoots(deviceID string, v bundle.Verifier, orgs ...st
 	return nil
 }
 
-// Publish cuts and signs root 0's next revision from the desired
-// policy set and pushes it to every subscribed device — the
-// single-root API. Must run from serial-barrier context.
-func (x *Distributor) Publish(desired []policy.Policy) (uint64, error) {
-	return x.PublishRoot(x.roots[0].org, desired)
-}
-
-// PublishRoot cuts and signs one org root's next revision and fans it
-// out to that root's subscribers — a delta from each device's acked
-// revision when that base is still in history, a full bundle
-// otherwise. With an engine configured the fan-out runs as sharded
-// batch events; either way it must be called from serial-barrier
-// context.
+// PublishRoot cuts and signs one org root's next revision from the
+// desired policy set and fans it out to that root's subscribers — a
+// delta from each device's acked revision when that base is still in
+// history, a full bundle otherwise. With an engine configured the
+// fan-out runs as sharded batch events; either way it must be called
+// from serial-barrier context.
 func (x *Distributor) PublishRoot(org string, desired []policy.Policy) (uint64, error) {
 	ri, ok := x.rootOf[org]
 	if !ok {
@@ -571,12 +516,12 @@ func (x *Distributor) PublishRoot(org string, desired []policy.Policy) (uint64, 
 }
 
 // fanoutRoot pushes the root's current revision to every subscriber.
-// With no engine it loops synchronously (serial-barrier caller); with
-// an engine it slices the canonical order into batches of FanoutBatch
-// devices and schedules each as a sharded event keyed by its first
-// device — batches encode from the shared wire cache and stage their
-// bus sends through the lane, so the send order (and therefore every
-// fault sample) is identical at any worker count.
+// It slices the canonical order into batches of FanoutBatch devices;
+// with an engine each batch is a sharded event keyed by its first
+// device, with none it runs inline (serial-barrier caller, nil lane).
+// Batches encode from the shared wire cache and stage their bus sends
+// through the lane, so the send order (and therefore every fault
+// sample) is identical at any worker count.
 func (x *Distributor) fanoutRoot(ri int) {
 	x.mu.Lock()
 	subs := make([]int32, 0, len(x.order))
@@ -587,21 +532,16 @@ func (x *Distributor) fanoutRoot(ri int) {
 	}
 	x.mu.Unlock()
 
-	if x.engine == nil {
-		for _, slot := range subs {
-			x.mu.Lock()
-			id, base := x.fleet[slot].id, x.fleet[slot].sub[ri].acked
-			x.mu.Unlock()
-			x.pushTo(ri, id, base, nil)
-		}
-		return
-	}
 	for start := 0; start < len(subs); start += x.fanoutBatch {
 		end := start + x.fanoutBatch
 		if end > len(subs) {
 			end = len(subs)
 		}
 		batch := subs[start:end]
+		if x.engine == nil {
+			x.pushBatch(ri, batch, nil)
+			continue
+		}
 		x.mu.Lock()
 		shard := x.fleet[batch[0]].id
 		x.mu.Unlock()
@@ -694,7 +634,7 @@ func (x *Distributor) repairRoot(ri int) int {
 			x.onStuck(id)
 		}
 		x.cRepairs.Inc()
-		x.pushTo(ri, id, base, nil)
+		x.pushTo(ri, id, base)
 		repaired++
 	}
 	x.updateLagging(ri)
@@ -712,18 +652,16 @@ func (x *Distributor) repairSweepOrder() []int32 {
 }
 
 // pushTo encodes and sends the best bundle for a device at the given
-// base revision on one root. Serial-barrier context only when lane is
-// nil (it samples bus fault state).
-func (x *Distributor) pushTo(ri int, deviceID string, base uint64, lane *sim.Lane) {
+// base revision on one root. Serial-barrier context only (it samples
+// bus fault state).
+func (x *Distributor) pushTo(ri int, deviceID string, base uint64) {
 	w, err := x.roots[ri].wireFor(base)
 	if err != nil {
-		x.recordWireErr(ri, deviceID, err, lane)
+		x.recordWireErr(ri, deviceID, err, nil)
 		return
 	}
 	x.countPush(w)
-	x.scheduleSend(lane, func() {
-		x.send(network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
-	})
+	x.send(network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
 }
 
 // recordWireErr accounts a failed bundle materialization. A root with
@@ -770,7 +708,9 @@ func (x *Distributor) send(m network.Message) {
 // A report's device identity is taken from the bus envelope, never
 // from the payload: a compromised device claiming another device's
 // identity in an ack (masking that device from repair) or in a pull is
-// dropped, counted and audited instead of believed.
+// dropped, counted and audited instead of believed. A report naming an
+// org with no root is malformed and dropped the same way, never
+// credited to another root.
 func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 	switch m.Topic {
 	case TopicBundleAck:
@@ -783,7 +723,11 @@ func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 			x.recordForged(m, ack.Device, x.cForgedAck, lane)
 			return
 		}
-		ri := x.rootIndex(ack.Org)
+		ri, known := x.rootOf[ack.Org]
+		if !known {
+			x.recordBadPayload(m, lane)
+			return
+		}
 		r := x.roots[ri]
 		x.cAcked.Inc()
 		ctx := map[string]string{
@@ -815,9 +759,13 @@ func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 			x.recordForged(m, pull.Device, x.cForgedPull, lane)
 			return
 		}
-		ri := x.rootIndex(pull.Org)
+		ri, known := x.rootOf[pull.Org]
+		if !known {
+			x.recordBadPayload(m, lane)
+			return
+		}
 		x.cPulls.Inc()
-		x.scheduleSend(lane, func() { x.pushTo(ri, pull.Device, pull.Have, nil) })
+		x.scheduleSend(lane, func() { x.pushTo(ri, pull.Device, pull.Have) })
 	}
 }
 
@@ -831,7 +779,7 @@ func (x *Distributor) recordForged(m network.Message, claimed string, c *telemet
 }
 
 // recordBadPayload accounts a bundle-plane message whose payload is
-// not the expected type.
+// not the expected type or names an org with no root.
 func (x *Distributor) recordBadPayload(m network.Message, lane *sim.Lane) {
 	x.cBadPayload.Inc()
 	audit.Resolve(lane, x.col.Audit()).Append(audit.KindBundle, x.id, "bundle.bad_payload",
@@ -875,8 +823,8 @@ func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.A
 			cause := bundle.CauseOf(err)
 			ack.Cause = cause
 			x.reg.Counter("bundle.rejected", "cause", cause).Inc()
-			if cause == "scope" {
-				x.roots[x.rootIndex(org)].cScopeRej.Inc()
+			if ri, known := x.rootOf[org]; known && cause == "scope" {
+				x.roots[ri].cScopeRej.Inc()
 			}
 			audit.Resolve(lane, log).Append(audit.KindBundle, deviceID, "bundle.rejected",
 				map[string]string{"cause": cause, "revision": fmt.Sprint(rev)})

@@ -138,14 +138,14 @@ func (w *fanoutWorld) publishAndDrain(b *testing.B) {
 	w.rev++
 	desired := w.desire[w.rev%len(w.desire)]
 	if w.engine == nil {
-		if _, err := w.dist.Publish(desired); err != nil {
+		if _, err := w.dist.PublishRoot("us", desired); err != nil {
 			b.Fatal(err)
 		}
 		return
 	}
 	var pubErr error
 	w.engine.Schedule(0, func() {
-		_, pubErr = w.dist.Publish(desired)
+		_, pubErr = w.dist.PublishRoot("us", desired)
 	})
 	if err := w.engine.Run(w.clock.Now().Add(time.Millisecond)); err != nil {
 		b.Fatal(err)

@@ -43,7 +43,7 @@ func distFixture(t *testing.T, mutate ...func(*DistributorConfig)) (*Collective,
 			t.Fatalf("AddDevice %s: %v", id, err)
 		}
 	}
-	cfg := DistributorConfig{Collective: c, Signer: distKey()}
+	cfg := DistributorConfig{Collective: c, Roots: []RootConfig{{Signer: distKey()}}}
 	for _, m := range mutate {
 		m(&cfg)
 	}
@@ -52,7 +52,7 @@ func distFixture(t *testing.T, mutate ...func(*DistributorConfig)) (*Collective,
 		t.Fatalf("NewDistributor: %v", err)
 	}
 	for _, id := range []string{"d1", "d2"} {
-		if err := dist.Enroll(id, distKey()); err != nil {
+		if err := dist.EnrollRoots(id, distKey(), ""); err != nil {
 			t.Fatalf("Enroll %s: %v", id, err)
 		}
 	}
@@ -61,7 +61,7 @@ func distFixture(t *testing.T, mutate ...func(*DistributorConfig)) (*Collective,
 
 func TestDistributorPublishConverges(t *testing.T) {
 	c, dist, _ := distFixture(t)
-	rev, err := dist.Publish(distPolicies(t, 3, "r1"))
+	rev, err := dist.PublishRoot("", distPolicies(t, 3, "r1"))
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestDistributorPublishConverges(t *testing.T) {
 		t.Fatalf("revision %d, want 1", rev)
 	}
 	if !dist.Converged() {
-		t.Fatalf("not converged after synchronous publish; lagging %v", dist.Lagging())
+		t.Fatalf("not converged after synchronous publish; lagging %v", dist.LaggingRoot(""))
 	}
 	for _, id := range []string{"d1", "d2"} {
 		d, _ := c.Device(id)
@@ -89,7 +89,7 @@ func TestDistributorPublishConverges(t *testing.T) {
 	// VerifyFrom picks up incremental verification from a checkpoint:
 	// verify the prefix once, then verify only the suffix appended by
 	// the next revision.
-	ledger := dist.Ledger()
+	ledger := dist.RootLedger("")
 	if ledger.Len() != 2 {
 		t.Fatalf("ledger has %d entries, want 2", ledger.Len())
 	}
@@ -99,7 +99,7 @@ func TestDistributorPublishConverges(t *testing.T) {
 	mark := ledger.Len()
 	tip := ledger.Entries()[mark-1].Hash
 
-	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
 	if ledger.Len() != 4 {
@@ -112,7 +112,7 @@ func TestDistributorPublishConverges(t *testing.T) {
 
 func TestDistributorFailClosedPush(t *testing.T) {
 	c, dist, bus := distFixture(t)
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 
@@ -145,7 +145,7 @@ func TestDistributorFailClosedPush(t *testing.T) {
 	}
 	// The rejection was reported back and ledgered too.
 	var ledgered bool
-	for _, e := range dist.Ledger().Entries() {
+	for _, e := range dist.RootLedger("").Entries() {
 		if e.Actor == "d1" && e.Context["applied"] == "false" && e.Context["cause"] == "signature" {
 			ledgered = true
 		}
@@ -161,7 +161,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 		cfg.StuckThreshold = 2
 		cfg.OnStuck = func(string) { stuckReports++ }
 	})
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish r1: %v", err)
 	}
 
@@ -170,17 +170,17 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	// repairing, and d2 keeps re-acking into the void without ever
 	// re-activating (stale re-pushes are no-ops).
 	bus.PartitionOneWay([]string{"d2"}, []string{dist.id})
-	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
 	d2, _ := dist.col.Device("d2")
 	if got := d2.Policies().Revision(); got != 2 {
 		t.Fatalf("d2 at revision %d, want 2 (push direction is open)", got)
 	}
-	if got := dist.AckedRevision("d2"); got != 1 {
+	if got := dist.AckedRevisionRoot("", "d2"); got != 1 {
 		t.Fatalf("distributor believes d2 acked %d, want 1 (ack direction is blocked)", got)
 	}
-	if lag := dist.Lagging(); len(lag) != 1 || lag[0] != "d2" {
+	if lag := dist.LaggingRoot(""); len(lag) != 1 || lag[0] != "d2" {
 		t.Fatalf("lagging = %v, want [d2]", lag)
 	}
 
@@ -200,7 +200,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 	bus.HealOneWay()
 	dist.RepairSweep()
 	if !dist.Converged() {
-		t.Fatalf("not converged after heal; lagging %v", dist.Lagging())
+		t.Fatalf("not converged after heal; lagging %v", dist.LaggingRoot(""))
 	}
 	if got := d2.Policies().Revision(); got != 2 {
 		t.Fatalf("d2 re-activated to %d, want to stay at 2", got)
@@ -213,7 +213,7 @@ func TestDistributorRepairAfterOneWayPartition(t *testing.T) {
 func TestDistributorGapTriggersPullRepair(t *testing.T) {
 	c, dist, bus := distFixture(t)
 	for _, tag := range []string{"r1", "r2", "r3"} {
-		if _, err := dist.Publish(distPolicies(t, 3, tag)); err != nil {
+		if _, err := dist.PublishRoot("", distPolicies(t, 3, tag)); err != nil {
 			t.Fatalf("Publish %s: %v", tag, err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 	if err := c.AddDevice(newMember(t, c, "d3", 10), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.Enroll("d3", distKey()); err != nil {
+	if err := dist.EnrollRoots("d3", distKey(), ""); err != nil {
 		t.Fatal(err)
 	}
 	delta, ok := dist.roots[0].pub.DeltaFrom(2)
@@ -240,7 +240,7 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 	if got := d3.Policies().Revision(); got != 3 {
 		t.Fatalf("d3 at revision %d after pull repair, want 3", got)
 	}
-	if got := dist.AckedRevision("d3"); got != 3 {
+	if got := dist.AckedRevisionRoot("", "d3"); got != 3 {
 		t.Fatalf("distributor has d3 acked at %d, want 3", got)
 	}
 }
@@ -252,15 +252,15 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c, dist, bus := distFixture(t, func(cfg *DistributorConfig) { cfg.Telemetry = reg })
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	// d2 goes fully dark and misses revision 2.
 	bus.Partition(map[string]int{"d2": 1})
-	if _, err := dist.Publish(distPolicies(t, 3, "r2")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r2")); err != nil {
 		t.Fatalf("Publish r2: %v", err)
 	}
-	if lag := dist.Lagging(); len(lag) != 1 || lag[0] != "d2" {
+	if lag := dist.LaggingRoot(""); len(lag) != 1 || lag[0] != "d2" {
 		t.Fatalf("lagging = %v, want [d2]", lag)
 	}
 
@@ -269,10 +269,10 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: forged}); err != nil {
 		t.Fatalf("send forged ack: %v", err)
 	}
-	if got := dist.AckedRevision("d2"); got != 1 {
+	if got := dist.AckedRevisionRoot("", "d2"); got != 1 {
 		t.Fatalf("forged ack advanced d2 to %d, want 1", got)
 	}
-	if lag := dist.Lagging(); len(lag) != 1 || lag[0] != "d2" {
+	if lag := dist.LaggingRoot(""); len(lag) != 1 || lag[0] != "d2" {
 		t.Fatalf("forged ack masked d2 from repair; lagging = %v, want [d2]", lag)
 	}
 	if got := reg.Counter("bundle.forged_report", "topic", TopicBundleAck).Value(); got != 1 {
@@ -292,7 +292,7 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 	bus.Heal()
 	dist.RepairSweep()
 	if !dist.Converged() {
-		t.Fatalf("not converged after heal; lagging %v", dist.Lagging())
+		t.Fatalf("not converged after heal; lagging %v", dist.LaggingRoot(""))
 	}
 }
 
@@ -301,7 +301,7 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 func TestDistributorForgedPullDropped(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, dist, bus := distFixture(t, func(cfg *DistributorConfig) { cfg.Telemetry = reg })
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	pushedBefore := reg.Counter("bundle.pushed").Value()
@@ -322,7 +322,7 @@ func TestDistributorForgedPullDropped(t *testing.T) {
 func TestDistributorBadPayloadCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c, dist, bus := distFixture(t, func(cfg *DistributorConfig) { cfg.Telemetry = reg })
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	if err := bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: 42}); err != nil {
@@ -358,7 +358,7 @@ func TestDistributorEncodeFailureCounted(t *testing.T) {
 	encodeBundle = func(bundle.Bundle) ([]byte, error) { return nil, errStubEncode }
 	defer func() { encodeBundle = orig }()
 
-	if _, err := dist.Publish(distPolicies(t, 3, "r1")); err != nil {
+	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	if got := reg.Counter("bundle.encode_failed", "root", "default").Value(); got != 2 {
@@ -457,7 +457,7 @@ func TestDistributorMultiRootIndependentStreams(t *testing.T) {
 		t.Fatalf("uk revision %d, want 2", got)
 	}
 	if !dist.Converged() {
-		t.Fatalf("not converged; lagging %v", dist.Lagging())
+		t.Fatalf("not converged; lagging us=%v uk=%v", dist.LaggingRoot("us"), dist.LaggingRoot("uk"))
 	}
 	for id, want := range map[string]uint64{"us-0": 1, "us-1": 1, "uk-0": 2, "uk-1": 2} {
 		d, _ := c.Device(id)
@@ -510,5 +510,60 @@ func TestDistributorMultiRootScopeRefusal(t *testing.T) {
 	}
 	if got := reg.Counter("bundle.scope_rejected", "root", "us").Value(); got != 1 {
 		t.Fatalf("scope_rejected{us} = %d, want 1", got)
+	}
+}
+
+// A report naming an org with no root is malformed, not root 0's: a
+// uk-only device refusing a bundle that claims org "zz" acks with Org
+// "zz", and that ack must be dropped, counted and audited as a bad
+// payload instead of landing in the first root's ledger and raising
+// its scope_rejected. A pull naming "zz" is dropped the same way.
+func TestDistributorUnknownOrgReportDropped(t *testing.T) {
+	c, dist, reg := multiRootFixture(t)
+	if _, err := dist.PublishRoot("us", orgPolicies(t, "us", "r1", 2)); err != nil {
+		t.Fatalf("PublishRoot us: %v", err)
+	}
+	usLedger := dist.RootLedger("us").Len()
+	pushed := reg.Counter("bundle.pushed").Value()
+
+	zz := bundle.NewOrgPublisher(bundle.HMACKey{ID: "zz-root", Secret: []byte("zz secret")}, "zz")
+	full, _, err := zz.Publish(orgPolicies(t, "zz", "r1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := bundle.Encode(full)
+	if err := c.bus.Send(network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := c.bus.Send(network.Message{From: "uk-0", To: dist.id, Topic: TopicBundlePull,
+		Payload: BundlePull{Device: "uk-0", Org: "zz"}}); err != nil {
+		t.Fatalf("send pull: %v", err)
+	}
+
+	if got := reg.Counter("bundle.rejected", "cause", "scope").Value(); got != 1 {
+		t.Fatalf("rejected{scope} = %d, want 1", got)
+	}
+	if got := dist.RootLedger("us").Len(); got != usLedger {
+		t.Fatalf("us ledger grew %d -> %d from a zz report", usLedger, got)
+	}
+	for _, root := range []string{"us", "uk"} {
+		if got := reg.Counter("bundle.scope_rejected", "root", root).Value(); got != 0 {
+			t.Fatalf("scope_rejected{%s} = %d, want 0 (no root for zz)", root, got)
+		}
+	}
+	if got := reg.Counter("bundle.bad_payload").Value(); got != 2 {
+		t.Fatalf("bad_payload = %d, want 2 (the zz ack and the zz pull)", got)
+	}
+	if got := reg.Counter("bundle.pushed").Value(); got != pushed {
+		t.Fatalf("zz pull triggered a push (%d -> %d)", pushed, got)
+	}
+	var audited int
+	for _, e := range c.Audit().ByKind(audit.KindBundle) {
+		if e.Detail == "bundle.bad_payload" && e.Context["from"] == "uk-0" {
+			audited++
+		}
+	}
+	if audited != 2 {
+		t.Fatalf("bad_payload audited %d times, want 2", audited)
 	}
 }

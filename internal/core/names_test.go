@@ -14,7 +14,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/policylang"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -38,12 +37,11 @@ func mustCompileOne(t *testing.T, src string) policy.Policy {
 // (TestServerMetricsAndNames) and cmd/loadgen (TestLoadgenMetricNames).
 func TestMetricNamesUnified(t *testing.T) {
 	log := audit.New()
-	metrics := sim.NewMetrics()
-	reg := metrics.Registry()
+	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(reg))
 	bus := network.NewBus(rand.New(rand.NewSource(1)),
 		network.WithLoss(0.4), network.WithDuplication(0.2),
-		network.WithMetrics(metrics))
+		network.WithMetrics(reg))
 
 	c := newCollective(t, func(cfg *Config) {
 		cfg.Audit = log
@@ -89,9 +87,9 @@ func TestMetricNamesUnified(t *testing.T) {
 				Rand:        rand.New(rand.NewSource(2)).Float64,
 			},
 			Breakers: &resilience.BreakerSet{Threshold: 2, Cooldown: time.Minute},
-			Metrics:  metrics,
+			Metrics:  reg,
 		},
-		Metrics: metrics,
+		Metrics: reg,
 		Tracer:  tracer,
 	}
 	for i := 0; i < 20; i++ {
@@ -122,7 +120,7 @@ func TestMetricNamesUnified(t *testing.T) {
 
 	// Chaos fault accounting: every fault-local name the injector
 	// emits must land under a registered chaos.* name.
-	inj := &chaos.Injector{Metrics: metrics}
+	inj := &chaos.Injector{Metrics: reg}
 	for _, name := range []string{
 		"loss.injected", "loss.healed",
 		"partition.injected", "partition.healed",
@@ -145,15 +143,15 @@ func TestMetricNamesUnified(t *testing.T) {
 	// exercise every bundle.* name at its real call site.
 	key := bundle.HMACKey{ID: "names", Secret: []byte("names-secret")}
 	dist, err := NewDistributor(DistributorConfig{
-		Collective: c, Signer: key, Telemetry: reg, StuckThreshold: 1,
+		Collective: c, Roots: []RootConfig{{Signer: key}}, Telemetry: reg, StuckThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.Enroll("d1", key); err != nil {
+	if err := dist.EnrollRoots("d1", key, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.Publish([]policy.Policy{mustCompileOne(t,
+	if _, err := dist.PublishRoot("", []policy.Policy{mustCompileOne(t,
 		"policy pd priority 1:\n    on task\n    when intensity > 0\n    do work target d1 category surveillance\n")}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	// Detach the device so a second publish goes unacked, then sweep
 	// past the stuck threshold → bundle.repairs and bundle.lagging.
 	bus.Detach("d1")
-	if _, err := dist.Publish(nil); err != nil {
+	if _, err := dist.PublishRoot("", nil); err != nil {
 		t.Fatal(err)
 	}
 	dist.RepairSweep()

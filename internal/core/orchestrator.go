@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
-	"repro/internal/audit"
 	"repro/internal/device"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -22,21 +20,6 @@ import (
 type Orchestrator struct {
 	collective *Collective
 	engine     *sim.Engine
-
-	// Metrics, when set, receives per-device decision-plane gauges on
-	// every managed tick: the snapshot epoch the device last evaluated
-	// under and the policy compile latency (policy.epoch,
-	// policy.compiles, policy.compile_ms, labeled by device).
-	Metrics *sim.Metrics
-
-	// Admission, when set, gates each sharded command fan-out per
-	// target before the delivery event is scheduled: a shed target is
-	// counted (core.command_shed{cause}) and audited instead of being
-	// dispatched past a saturated intake.
-	Admission *admission.Controller
-	// Audit, when set with Admission, records every shed fan-out as a
-	// KindAdmission entry.
-	Audit *audit.Log
 
 	mu       sync.Mutex
 	managers map[string]*device.Manager
@@ -77,11 +60,9 @@ func (o *Orchestrator) Manage(deviceID string, period time.Duration,
 	o.managers[deviceID] = m
 	o.mu.Unlock()
 	// The tick is sharded by device ID: each device's MAPE loop owns
-	// its own state, its gauges are device-labeled (shard-private), and
-	// audit appends route through the lane — so a parallel engine runs
-	// different devices' ticks concurrently without losing determinism.
-	// (policy.compile_ms is wall-clock-derived and therefore varies
-	// between runs regardless of parallelism.)
+	// its own state and its audit appends route through the lane — so a
+	// parallel engine runs different devices' ticks concurrently without
+	// losing determinism.
 	o.engine.ScheduleEveryShard(period, deviceID,
 		func() bool {
 			// The loop dies when the device deactivates, crashes out of
@@ -96,17 +77,9 @@ func (o *Orchestrator) Manage(deviceID string, period time.Duration,
 			return true
 		},
 		func(lane *sim.Lane) {
-			if _, err := m.TickWith(o.engine.Clock().Now(), lane); err != nil {
-				// A deactivated device simply stops ticking; other
-				// errors surface through the device's audit trail.
-				return
-			}
-			if reg := o.Metrics.Registry(); reg != nil {
-				stats := d.Policies().Stats()
-				reg.Gauge("policy.epoch", "device", deviceID).Set(float64(d.PolicyEpoch()))
-				reg.Gauge("policy.compiles", "device", deviceID).Set(float64(stats.Compiles))
-				reg.Gauge("policy.compile_ms", "device", deviceID).Set(float64(stats.LastCompile.Microseconds()) / 1000)
-			}
+			// A deactivated device simply stops ticking; other errors
+			// surface through the device's audit trail.
+			_, _ = m.TickWith(o.engine.Clock().Now(), lane)
 		})
 	return nil
 }
@@ -131,68 +104,6 @@ func (o *Orchestrator) CommandEvery(period time.Duration, while func() bool,
 	o.engine.ScheduleEvery(period, while, func() {
 		d.Command(next())
 	})
-}
-
-// CommandEverySharded broadcasts the event returned by next directly to
-// every member on the given period, fanning the per-device deliveries
-// out as same-time events sharded by target ID — so a parallel engine
-// delivers to the whole fleet concurrently while each device's
-// deliveries stay ordered and audit appends merge deterministically.
-// The periodic tick itself is a barrier: next() runs serially, the
-// member list is snapshotted there, and (when Admission is set) each
-// target is admitted there — shed targets are counted
-// (core.command_shed{cause}) and audited, never dropped silently.
-// Unlike CommandEvery this path bypasses the resilient dispatcher; a
-// member that left between snapshot and delivery is counted under
-// core.delivery_skipped{cause}.
-func (o *Orchestrator) CommandEverySharded(period time.Duration, while func() bool,
-	next func() policy.Event) {
-	o.engine.ScheduleEvery(period, while, func() {
-		ev := next()
-		for _, d := range o.collective.Devices() {
-			id := d.ID()
-			if o.Admission != nil {
-				if err := o.Admission.Allow(id, admission.ClassHuman); err != nil {
-					cause := admission.CauseOf(err)
-					o.countCause("core.command_shed", cause)
-					if o.Audit != nil {
-						o.Audit.Append(audit.KindAdmission, "orchestrator",
-							fmt.Sprintf("command fan-out to %s shed (%s)", id, cause),
-							map[string]string{"target": id, "cause": cause})
-					}
-					continue
-				}
-			}
-			o.engine.ScheduleShard(0, id, func(lane *sim.Lane) {
-				if _, err := o.collective.DeliverWith(id, ev, lane); err != nil {
-					// The member left or deactivated between snapshot and
-					// delivery; the skip stays on the books.
-					o.countCause("core.delivery_skipped", skipCause(err))
-				}
-			})
-		}
-	})
-}
-
-// skipCause maps a delivery error to the core.delivery_skipped cause
-// label.
-func skipCause(err error) string {
-	switch {
-	case errors.Is(err, ErrUnknownDevice):
-		return "unknown_device"
-	case errors.Is(err, device.ErrDeactivated):
-		return "deactivated"
-	default:
-		return "error"
-	}
-}
-
-// countCause increments a cause-labeled counter on the orchestrator's
-// registry; a nil Metrics makes it a no-op.
-func (o *Orchestrator) countCause(name, cause string) {
-	if reg := o.Metrics.Registry(); reg != nil {
-		reg.Counter(name, "cause", cause).Inc()
-	}
 }
 
 // SweepEvery schedules watchdog sweeps on the given period, until the

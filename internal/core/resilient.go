@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/admission"
-	"repro/internal/audit"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -20,7 +18,8 @@ import (
 // Collective.Command path in experiments that inject faults — a
 // command must reach the survivors even when some members are gone.
 type Dispatcher struct {
-	// Collective names the recipients when Roster is empty.
+	// Collective names the recipients when Roster is empty, and owns
+	// the admission gate (required with Admission).
 	Collective *Collective
 	// Sender is the resilient bus wrapper deliveries go through
 	// (required).
@@ -35,20 +34,18 @@ type Dispatcher struct {
 	Deadline resilience.Deadline
 	// Metrics observes dispatch outcomes (dispatch.sent,
 	// dispatch.failed); may be nil.
-	Metrics *sim.Metrics
+	Metrics *telemetry.Registry
 	// Tracer, when set, opens one root span per command at intake and
 	// one child span per target delivery; the trace context is injected
 	// into the dispatched event's labels and survives the resilience
 	// stack (retries and duplicates carry the same context).
 	Tracer *telemetry.Tracer
-	// Admission, when set, gates each per-target delivery before it
-	// enters the resilience stack: a shed target fails fast with a typed
-	// cause (dispatch.shed{cause}) instead of burning retry budget, and
-	// the decision is audited with the delivery's trace ID.
+	// Admission, when set, gates each per-target delivery through the
+	// collective's AdmitCommand before it enters the resilience stack:
+	// a shed target fails fast with a typed cause instead of burning
+	// retry budget, counted under core.command_shed{cause} and audited
+	// with the delivery's trace ID.
 	Admission *admission.Controller
-	// Audit, when set with Admission, records every shed decision as a
-	// KindAdmission entry carrying the target, cause and trace ID.
-	Audit *audit.Log
 }
 
 // Command sends the event to every target and returns how many
@@ -71,24 +68,12 @@ func (d *Dispatcher) Command(ev policy.Event) (sent, failed int) {
 	for _, id := range targets {
 		span := d.Tracer.StartSpan("dispatch.deliver", source, root.Context())
 		span.SetAttr("target", id)
-		if d.Admission != nil {
-			if err := d.Admission.Allow(id, admission.ClassHuman); err != nil {
-				cause := admission.CauseOf(err)
-				failed++
-				d.countShed(cause)
-				span.SetAttr("result", "shed")
-				span.SetAttr("cause", cause)
-				if d.Audit != nil {
-					ctx := map[string]string{"target": id, "cause": cause}
-					if sc := span.Context(); sc.Valid() {
-						ctx["trace"] = sc.Trace.String()
-					}
-					d.Audit.Append(audit.KindAdmission, source,
-						fmt.Sprintf("dispatch to %s shed (%s)", id, cause), ctx)
-				}
-				span.Finish()
-				continue
-			}
+		if cause := d.Collective.AdmitCommand(d.Admission, source, id, span.Context()); cause != "" {
+			failed++
+			span.SetAttr("result", "shed")
+			span.SetAttr("cause", cause)
+			span.Finish()
+			continue
 		}
 		tev := ev
 		if sc := span.Context(); sc.Valid() {
@@ -98,14 +83,14 @@ func (d *Dispatcher) Command(ev policy.Event) (sent, failed int) {
 		err := d.Deadline.Run(func() error { return d.Sender.Send(msg) })
 		if err != nil {
 			failed++
-			d.count("dispatch.failed")
+			d.Metrics.Counter("dispatch.failed").Inc()
 			span.SetAttr("result", "failed")
 			span.SetAttr("error", err.Error())
 			span.Finish()
 			continue
 		}
 		sent++
-		d.count("dispatch.sent")
+		d.Metrics.Counter("dispatch.sent").Inc()
 		span.SetAttr("result", "sent")
 		span.Finish()
 	}
@@ -117,16 +102,4 @@ func (d *Dispatcher) Command(ev policy.Event) (sent, failed int) {
 		d.Collective.RecordPolicyMetrics(d.Metrics)
 	}
 	return sent, failed
-}
-
-func (d *Dispatcher) count(name string) {
-	if d.Metrics != nil {
-		d.Metrics.Inc(name, 1)
-	}
-}
-
-func (d *Dispatcher) countShed(cause string) {
-	if reg := d.Metrics.Registry(); reg != nil {
-		reg.Counter("dispatch.shed", "cause", cause).Inc()
-	}
 }

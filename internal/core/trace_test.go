@@ -11,7 +11,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -23,13 +22,12 @@ import (
 // devices and the matching audit entries.
 func TestCommandTracedAcrossDevicesUnderChaos(t *testing.T) {
 	log := audit.New()
-	metrics := sim.NewMetrics()
-	reg := metrics.Registry()
+	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.WithTracerMetrics(reg))
 	bus := network.NewBus(rand.New(rand.NewSource(7)),
 		network.WithLoss(0.3),
 		network.WithDuplication(0.2),
-		network.WithMetrics(metrics))
+		network.WithMetrics(reg))
 
 	c := newCollective(t, func(cfg *Config) {
 		cfg.Audit = log
@@ -97,10 +95,10 @@ func TestCommandTracedAcrossDevicesUnderChaos(t *testing.T) {
 				Sleep:       func(time.Duration) {},
 				Rand:        rand.New(rand.NewSource(8)).Float64,
 			},
-			Metrics: metrics,
+			Metrics: reg,
 		},
 		Roster:  []string{"d1"},
-		Metrics: metrics,
+		Metrics: reg,
 		Tracer:  tracer,
 	}
 
@@ -168,7 +166,7 @@ func TestCommandTracedAcrossDevicesUnderChaos(t *testing.T) {
 	}
 
 	// Chaos really fired: the accounting must show drops or duplicates.
-	if metrics.Counter("bus.dropped")+metrics.Counter("bus.duplicated") == 0 {
+	if reg.CounterTotal("bus.dropped")+reg.CounterTotal("bus.duplicated") == 0 {
 		t.Error("chaos knobs produced no observable faults")
 	}
 }

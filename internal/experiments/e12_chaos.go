@@ -20,6 +20,7 @@ import (
 	"repro/internal/risk"
 	"repro/internal/sim"
 	"repro/internal/statespace"
+	"repro/internal/telemetry"
 )
 
 // E12Params configures the chaos-resilience experiment.
@@ -150,7 +151,7 @@ func RunE12(p E12Params) (Result, error) {
 func runE12Schedule(sched e12Schedule, p E12Params, seed int64) (e12Run, error) {
 	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
 	engine := sim.NewEngine(clock)
-	metrics := sim.NewMetrics()
+	metrics := telemetry.NewRegistry()
 	bus := network.NewBus(rand.New(rand.NewSource(seed)),
 		network.WithEngine(engine), network.WithMetrics(metrics))
 	log := audit.New()
@@ -412,7 +413,7 @@ policy lash priority 2: on provoke do strike category kinetic-action`
 	}
 
 	run := e12Run{
-		retries:        metrics.Counter("resilience.retries"),
+		retries:        metrics.CounterTotal("resilience.retries"),
 		breakerOpens:   sender.Breakers.Opens(),
 		breakGlassUses: breakGlass.Uses(),
 		recoveries:     recoveries,
@@ -479,12 +480,11 @@ policy lash priority 2: on provoke do strike category kinetic-action`
 
 // e12FaultNotes summarizes the observable fault model: chaos
 // injections/heals and the bus's per-cause drop counters.
-func e12FaultNotes(m *sim.Metrics) string {
-	counters, _ := m.Snapshot()
+func e12FaultNotes(reg *telemetry.Registry) string {
 	var parts []string
-	for name, v := range counters {
-		if strings.HasPrefix(name, "chaos.") || strings.HasPrefix(name, "bus.dropped") {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+	for _, s := range reg.Snapshot() {
+		if s.Kind == telemetry.KindCounter && (strings.HasPrefix(s.Name, "chaos.") || s.Name == "bus.dropped") {
+			parts = append(parts, fmt.Sprintf("%s%s=%d", s.Name, s.LabelString(), int64(s.Value)))
 		}
 	}
 	sort.Strings(parts)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // E16Params configures the saturation experiment: a fleet driven past
@@ -115,7 +116,7 @@ func RunE16Workers(p E16Params, workers int) (E16Outcome, error) {
 	engine := sim.NewEngine(clock)
 	engine.SetParallelism(workers)
 	log := audit.New(audit.WithClock(clock.Now))
-	metrics := sim.NewMetrics()
+	metrics := telemetry.NewRegistry()
 
 	ctrl, err := admission.New(admission.Config{
 		QueueCapacity: p.QueueCapacity,
@@ -124,7 +125,7 @@ func RunE16Workers(p E16Params, workers int) (E16Outcome, error) {
 		Now:           clock.Now,
 		DrainBatch:    1,
 		DrainInterval: 20 * time.Millisecond,
-		Metrics:       metrics.Registry(),
+		Metrics:       metrics,
 	})
 	if err != nil {
 		return E16Outcome{}, err

@@ -15,6 +15,7 @@ import (
 	"repro/internal/policylang"
 	"repro/internal/sim"
 	"repro/internal/statespace"
+	"repro/internal/telemetry"
 )
 
 // E17Params configures the bundle-distribution experiment: a fleet
@@ -134,11 +135,10 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	engine := sim.NewEngine(clock)
 	engine.SetParallelism(workers)
 	log := audit.New(audit.WithClock(clock.Now))
-	metrics := sim.NewMetrics()
-	reg := metrics.Registry()
+	reg := telemetry.NewRegistry()
 	bus := network.NewBus(rand.New(rand.NewSource(p.Seed)),
 		network.WithEngine(engine),
-		network.WithMetrics(metrics),
+		network.WithMetrics(reg),
 		network.WithLatency(time.Millisecond, time.Millisecond))
 
 	collective, err := core.New(core.Config{
@@ -162,7 +162,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	key := bundle.HMACKey{ID: "fleet-key", Secret: []byte("e17 shared secret")}
 	dist, err := core.NewDistributor(core.DistributorConfig{
 		Collective:     collective,
-		Signer:         key,
+		Roots:          []core.RootConfig{{Signer: key}},
 		Telemetry:      reg,
 		Clock:          clock.Now,
 		StuckThreshold: 3,
@@ -191,7 +191,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 		if err := collective.AddDevice(d, nil); err != nil {
 			return E17Outcome{}, err
 		}
-		if err := dist.Enroll(id, key); err != nil {
+		if err := dist.EnrollRoots(id, key, ""); err != nil {
 			return E17Outcome{}, err
 		}
 	}
@@ -206,7 +206,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 			publishErr = err
 			return
 		}
-		if _, err := dist.Publish(pols); err != nil {
+		if _, err := dist.PublishRoot("", pols); err != nil {
 			publishErr = err
 			return
 		}
@@ -229,7 +229,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	for _, id := range half {
 		groups[id] = 1
 	}
-	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: metrics}
+	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: reg}
 	faults := []chaos.Fault{
 		chaos.Loss{Prob: p.Loss, At: 50 * time.Millisecond, For: 100 * time.Millisecond},
 		chaos.Partition{Groups: groups, At: 60 * time.Millisecond, For: 50 * time.Millisecond},
@@ -294,13 +294,13 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	if err := log.Verify(); err != nil {
 		return E17Outcome{}, fmt.Errorf("audit chain (workers=%d): %w", workers, err)
 	}
-	if err := dist.Ledger().Verify(); err != nil {
+	if err := dist.RootLedger("").Verify(); err != nil {
 		return E17Outcome{}, fmt.Errorf("activation ledger (workers=%d): %w", workers, err)
 	}
 
 	out := E17Outcome{
 		Workers:        workers,
-		FinalRevision:  dist.Revision(),
+		FinalRevision:  dist.RootRevision(""),
 		Converged:      dist.Converged(),
 		ActivatedFull:  reg.Counter("bundle.activated", "kind", "full").Value(),
 		ActivatedDelta: reg.Counter("bundle.activated", "kind", "delta").Value(),
@@ -314,7 +314,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 		BytesFull:      reg.Counter("bundle.bytes_on_wire", "kind", "full").Value(),
 		BytesDelta:     reg.Counter("bundle.bytes_on_wire", "kind", "delta").Value(),
 		JournalLen:     log.Len(),
-		LedgerLen:      dist.Ledger().Len(),
+		LedgerLen:      dist.RootLedger("").Len(),
 	}
 	out.RejectedOther = reg.CounterTotal("bundle.rejected") -
 		out.RejectedSig - out.RejectedDecode - out.RejectedGap
@@ -333,7 +333,7 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	if entries := log.Entries(); len(entries) > 0 {
 		out.JournalTip = entries[len(entries)-1].Hash
 	}
-	if entries := dist.Ledger().Entries(); len(entries) > 0 {
+	if entries := dist.RootLedger("").Entries(); len(entries) > 0 {
 		out.LedgerTip = entries[len(entries)-1].Hash
 	}
 	return out, nil

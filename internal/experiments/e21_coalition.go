@@ -15,6 +15,7 @@ import (
 	"repro/internal/policylang"
 	"repro/internal/sim"
 	"repro/internal/statespace"
+	"repro/internal/telemetry"
 )
 
 // E21Params configures the coalition distribution experiment: two
@@ -204,11 +205,10 @@ func RunE21Workers(p E21Params, workers int) (E21Outcome, error) {
 	engine := sim.NewEngine(clock)
 	engine.SetParallelism(workers)
 	log := audit.New(audit.WithClock(clock.Now))
-	metrics := sim.NewMetrics()
-	reg := metrics.Registry()
+	reg := telemetry.NewRegistry()
 	bus := network.NewBus(rand.New(rand.NewSource(p.Seed)),
 		network.WithEngine(engine),
-		network.WithMetrics(metrics),
+		network.WithMetrics(reg),
 		network.WithLatency(time.Millisecond, time.Millisecond))
 
 	collective, err := core.New(core.Config{
@@ -337,7 +337,7 @@ func RunE21Workers(p E21Params, workers int) (E21Outcome, error) {
 	for _, id := range half {
 		groups[id] = 1
 	}
-	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: metrics}
+	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: reg}
 	faults := []chaos.Fault{
 		chaos.Loss{Prob: p.Loss, At: 50 * time.Millisecond, For: 100 * time.Millisecond},
 		chaos.Partition{Groups: groups, At: 60 * time.Millisecond, For: 50 * time.Millisecond},

@@ -72,31 +72,31 @@ func (ep endpoint) call(msg Message, lane *sim.Lane) {
 // one is. Loss probability and partitions model degraded coalition
 // networks. All methods are safe for concurrent use.
 type Bus struct {
-	mu         sync.Mutex
-	rng        *rand.Rand
-	engine     *sim.Engine
-	metrics    *sim.Metrics
-	intake     *admission.Controller
+	mu          sync.Mutex
+	rng         *rand.Rand
+	engine      *sim.Engine
+	metrics     *telemetry.Registry
+	intake      *admission.Controller
 	cSent       *telemetry.Counter
 	cDelivered  *telemetry.Counter
 	cDropLoss   *telemetry.Counter
 	cDropPart   *telemetry.Counter
 	cDropOneWay *telemetry.Counter
 	cDup        *telemetry.Counter
-	nodes      map[string]endpoint
-	partition  map[string]int
-	oneWay     map[string]map[string]bool
-	lossProb   float64
-	dupProb    float64
-	minLatency time.Duration
-	maxLatency time.Duration
-	sent       int
-	delivered  int
-	dropped    int
-	shed       int
-	pending    int
-	duplicated int
-	bridgeDrop int
+	nodes       map[string]endpoint
+	partition   map[string]int
+	oneWay      map[string]map[string]bool
+	lossProb    float64
+	dupProb     float64
+	minLatency  time.Duration
+	maxLatency  time.Duration
+	sent        int
+	delivered   int
+	dropped     int
+	shed        int
+	pending     int
+	duplicated  int
+	bridgeDrop  int
 }
 
 // BusOption configures a Bus.
@@ -143,10 +143,10 @@ func WithDuplication(p float64) BusOption {
 // WithMetrics mirrors the bus's delivery accounting into a metrics
 // registry (bus.sent, bus.delivered, bus.dropped labeled by cause, and
 // bus.duplicated), making the fault model observable by experiments.
-func WithMetrics(m *sim.Metrics) BusOption {
+func WithMetrics(reg *telemetry.Registry) BusOption {
 	return busOptionFunc(func(b *Bus) {
-		b.metrics = m
-		if reg := m.Registry(); reg != nil {
+		b.metrics = reg
+		if reg != nil {
 			b.cSent = reg.Counter("bus.sent")
 			b.cDelivered = reg.Counter("bus.delivered")
 			b.cDropLoss = reg.Counter("bus.dropped", "cause", "loss")
@@ -658,11 +658,9 @@ func (b *Bus) CheckConservation() error {
 func (b *Bus) countBridgeDrop(cause string) {
 	b.mu.Lock()
 	b.bridgeDrop++
-	m := b.metrics
+	reg := b.metrics
 	b.mu.Unlock()
-	if reg := m.Registry(); reg != nil {
-		reg.Counter("bus.bridge_dropped", "cause", cause).Inc()
-	}
+	reg.Counter("bus.bridge_dropped", "cause", cause).Inc()
 }
 
 // Duplicated returns how many messages were delivered twice by the

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestBusAccountingProperty checks the bus's accounting invariant
@@ -14,7 +14,7 @@ import (
 // is counted exactly once as delivered or dropped, and duplicates are
 // tracked separately without distorting either column.
 func TestBusAccountingProperty(t *testing.T) {
-	metrics := sim.NewMetrics()
+	metrics := telemetry.NewRegistry()
 	bus := NewBus(rand.New(rand.NewSource(42)),
 		WithLoss(0.3), WithDuplication(0.2), WithMetrics(metrics))
 	nodes := []string{"a", "b", "c", "d"}
@@ -92,9 +92,9 @@ func TestBusAccountingProperty(t *testing.T) {
 	}
 
 	// The metrics mirror agrees with the bus's own counters.
-	if metrics.Counter("bus.delivered") != int64(delivered) ||
-		metrics.Counter("bus.dropped") != int64(dropped) {
+	if metrics.CounterTotal("bus.delivered") != int64(delivered) ||
+		metrics.CounterTotal("bus.dropped") != int64(dropped) {
 		t.Errorf("metrics mirror (%d,%d) disagrees with stats (%d,%d)",
-			metrics.Counter("bus.delivered"), metrics.Counter("bus.dropped"), delivered, dropped)
+			metrics.CounterTotal("bus.delivered"), metrics.CounterTotal("bus.dropped"), delivered, dropped)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/resilience"
-	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // ReliableSender wraps Bus.Send with a retry policy and per-peer
@@ -26,7 +26,7 @@ type ReliableSender struct {
 	// Metrics observes retries and breaker rejections
 	// (resilience.retries, resilience.breaker_rejected, and
 	// resilience.sends labeled by result); may be nil.
-	Metrics *sim.Metrics
+	Metrics *telemetry.Registry
 }
 
 // Send delivers the message with retries, gated by the receiver's
@@ -37,7 +37,7 @@ func (s *ReliableSender) Send(msg Message) error {
 	if s.Breakers != nil {
 		breaker = s.Breakers.For(msg.To)
 		if !breaker.Allow() {
-			s.count("resilience.breaker_rejected")
+			s.Metrics.Counter("resilience.breaker_rejected").Inc()
 			return resilience.ErrOpen
 		}
 	}
@@ -47,7 +47,7 @@ func (s *ReliableSender) Send(msg Message) error {
 	}
 	prevOnRetry := retry.OnRetry
 	retry.OnRetry = func(attempt int, err error) {
-		s.count("resilience.retries")
+		s.Metrics.Counter("resilience.retries").Inc()
 		if prevOnRetry != nil {
 			prevOnRetry(attempt, err)
 		}
@@ -57,24 +57,9 @@ func (s *ReliableSender) Send(msg Message) error {
 		breaker.Record(err)
 	}
 	if err != nil {
-		s.countResult("failed")
+		s.Metrics.Counter("resilience.sends", "result", "failed").Inc()
 		return err
 	}
-	s.countResult("ok")
+	s.Metrics.Counter("resilience.sends", "result", "ok").Inc()
 	return nil
-}
-
-func (s *ReliableSender) count(name string) {
-	if s.Metrics != nil {
-		s.Metrics.Inc(name, 1)
-	}
-}
-
-func (s *ReliableSender) countResult(result string) {
-	if s.Metrics == nil {
-		return
-	}
-	if reg := s.Metrics.Registry(); reg != nil {
-		reg.Counter("resilience.sends", "result", result).Inc()
-	}
 }

@@ -13,11 +13,11 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/resilience"
-	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestBridgeToBusCountsAndSurfacesErrors(t *testing.T) {
-	metrics := sim.NewMetrics()
+	metrics := telemetry.NewRegistry()
 	bus := NewBus(rand.New(rand.NewSource(1)), WithMetrics(metrics))
 	if err := bus.Attach("d1", func(Message) {}); err != nil {
 		t.Fatal(err)
@@ -51,12 +51,10 @@ func TestBridgeToBusCountsAndSurfacesErrors(t *testing.T) {
 	if !errors.Is(surfaced[1], ErrDropped) {
 		t.Errorf("second surfaced error = %v, want ErrDropped", surfaced[1])
 	}
-	counters, _ := metrics.Snapshot()
-	if counters[`bus.bridge_dropped{cause="unknown_node"}`] != 1 {
-		t.Errorf("bridge_dropped counters = %v, want unknown_node=1", counters)
-	}
-	if counters[`bus.bridge_dropped{cause="partition"}`] != 1 {
-		t.Errorf("bridge_dropped counters = %v, want partition=1", counters)
+	for _, cause := range []string{"unknown_node", "partition"} {
+		if got := metrics.Counter("bus.bridge_dropped", "cause", cause).Value(); got != 1 {
+			t.Errorf("bus.bridge_dropped{cause=%q} = %d, want 1", cause, got)
+		}
 	}
 }
 

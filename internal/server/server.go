@@ -64,8 +64,8 @@ type Config struct {
 	// reassembly (submissions still work, untraced).
 	Tracer *telemetry.Tracer
 	// Admission, when set, gates every command target through the
-	// priority classes before delivery; sheds are typed, counted and
-	// reported in the response, never silent.
+	// collective's AdmitCommand before delivery; sheds are typed,
+	// counted, audited and reported in the response, never silent.
 	Admission *admission.Controller
 	// Distributor, when set, adds the bundle plane to /v1/fleet: one
 	// row per org root with its published revision and lagging count,
@@ -353,11 +353,9 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 
 	resp := CommandResponse{Devices: make(map[string][]ExecutionView)}
 	for _, id := range targets {
-		if s.admission != nil {
-			if err := s.admission.Allow(id, admission.ClassHuman); err != nil {
-				resp.Shed = append(resp.Shed, ShedView{Target: id, Cause: admission.CauseOf(err)})
-				continue
-			}
+		if cause := s.collective.AdmitCommand(s.admission, req.Source, id, span.Context()); cause != "" {
+			resp.Shed = append(resp.Shed, ShedView{Target: id, Cause: cause})
+			continue
 		}
 		execs, err := s.collective.Deliver(id, ev)
 		if err != nil {

@@ -321,6 +321,52 @@ func TestCommandAdmissionShed(t *testing.T) {
 	}
 }
 
+// TestCommandAdmissionShedAudited checks the server sheds through the
+// collective's one admission gate: a broadcast where 2 of 3 targets
+// are shed leaves exactly 2 KindAdmission entries carrying the
+// response's trace ID, and core.command_shed{cause="rate_limited"}
+// counts both.
+func TestCommandAdmissionShedAudited(t *testing.T) {
+	adm, err := admission.New(admission.Config{Rate: 0.001, Burst: 1})
+	if err != nil {
+		t.Fatalf("admission.New: %v", err)
+	}
+	f := newTestFleet(t, adm)
+
+	// Spend dev-1's and dev-2's only tokens; dev-0 keeps its own.
+	for _, id := range []string{"dev-1", "dev-2"} {
+		if code, _ := postCommand(t, f.base, CommandRequest{Type: "tick", Target: id}); code != http.StatusOK {
+			t.Fatalf("setup command to %s = %d, want 200", id, code)
+		}
+	}
+	code, resp := postCommand(t, f.base, CommandRequest{Type: "tick", Target: "*"})
+	if code != http.StatusOK || resp.Executed != 1 || len(resp.Shed) != 2 {
+		t.Fatalf("broadcast = %d, executed %d, shed %d; want 200, 1, 2", code, resp.Executed, len(resp.Shed))
+	}
+	if resp.TraceID == "" {
+		t.Fatal("command response has no trace ID")
+	}
+
+	entries := f.log.ByKind(audit.KindAdmission)
+	if len(entries) != 2 {
+		t.Fatalf("admission audit entries = %d, want 2", len(entries))
+	}
+	for i, e := range entries {
+		if want := resp.Shed[i].Target; e.Context["target"] != want {
+			t.Errorf("entry %d target = %q, want %q", i, e.Context["target"], want)
+		}
+		if e.Context["cause"] != "rate_limited" {
+			t.Errorf("entry %d cause = %q, want rate_limited", i, e.Context["cause"])
+		}
+		if e.Context["trace"] != resp.TraceID {
+			t.Errorf("entry %d trace = %q, want %q", i, e.Context["trace"], resp.TraceID)
+		}
+	}
+	if got := f.reg.Counter("core.command_shed", "cause", "rate_limited").Value(); got != 2 {
+		t.Errorf(`core.command_shed{cause="rate_limited"} = %d, want 2`, got)
+	}
+}
+
 // TestFleetView checks GET /v1/fleet reflects per-device state,
 // policy counts and the journal length.
 func TestFleetView(t *testing.T) {
@@ -361,11 +407,20 @@ func TestFleetView(t *testing.T) {
 // TestServerMetricsAndNames verifies the server observes its own
 // instrument family — request counters, command results and the
 // decision-latency histogram with quantiles — and that every metric
-// the full stack emitted is declared in the telemetry names table.
+// the full stack emitted, including the admission gate's
+// core.command_shed, is declared in the telemetry names table.
 func TestServerMetricsAndNames(t *testing.T) {
-	f := newTestFleet(t, nil)
+	adm, err := admission.New(admission.Config{Rate: 0.001, Burst: 5})
+	if err != nil {
+		t.Fatalf("admission.New: %v", err)
+	}
+	f := newTestFleet(t, adm)
 	for i := 0; i < 5; i++ {
 		postCommand(t, f.base, CommandRequest{Type: "tick", Target: "dev-0"})
+	}
+	// The sixth command finds dev-0's bucket empty and is shed.
+	if code, _ := postCommand(t, f.base, CommandRequest{Type: "tick", Target: "dev-0"}); code != http.StatusTooManyRequests {
+		t.Fatalf("command past the burst = %d, want 429", code)
 	}
 	var fv FleetView
 	getJSON(t, f.base+"/v1/fleet", &fv)
@@ -379,8 +434,10 @@ func TestServerMetricsAndNames(t *testing.T) {
 	out := string(body)
 	for _, want := range []string{
 		`server_commands{result="ok"} 5`,
+		`server_commands{result="shed"} 1`,
+		`core_command_shed{cause="rate_limited"} 1`,
 		`server_requests{code="200",route="fleet"} 1`,
-		"server_decision_ms_count 5",
+		"server_decision_ms_count 6",
 		`server_decision_ms{quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {

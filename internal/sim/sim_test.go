@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -181,40 +180,6 @@ func TestScheduleEveryReentrantSchedule(t *testing.T) {
 	want := "tick1,extra1,tick2,extra2"
 	if got := strings.Join(order, ","); got != want {
 		t.Errorf("order = %q, want %q", got, want)
-	}
-}
-
-func TestMetrics(t *testing.T) {
-	m := NewMetrics()
-	m.Inc("harm", 2)
-	m.Inc("harm", 1)
-	m.SetGauge("rate", 0.5)
-	if m.Counter("harm") != 3 {
-		t.Errorf("Counter = %d", m.Counter("harm"))
-	}
-	if m.Gauge("rate") != 0.5 {
-		t.Errorf("Gauge = %g", m.Gauge("rate"))
-	}
-	counters, gauges := m.Snapshot()
-	if counters["harm"] != 3 || gauges["rate"] != 0.5 {
-		t.Error("Snapshot wrong")
-	}
-	if s := m.String(); !strings.Contains(s, "harm=3") || !strings.Contains(s, "rate=0.5") {
-		t.Errorf("String = %q", s)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				m.Inc("c", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Counter("c") != 400 {
-		t.Errorf("concurrent counter = %d", m.Counter("c"))
 	}
 }
 

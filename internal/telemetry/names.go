@@ -50,13 +50,11 @@ var defs = []Def{
 	// dispatch — command decomposition into per-device deliveries.
 	{Name: "dispatch.sent", Kind: KindCounter, Help: "Per-device command deliveries accepted by the transport."},
 	{Name: "dispatch.failed", Kind: KindCounter, Help: "Per-device command deliveries failed after retries or breaker rejection."},
-	{Name: "dispatch.shed", Kind: KindCounter, Labels: []string{"cause"}, Help: "Per-device command deliveries shed by admission before dispatch, by cause."},
 
 	// core — collective-level intake.
 	{Name: "core.commands", Kind: KindCounter, Help: "Human commands broadcast through the collective."},
 	{Name: "core.deliveries", Kind: KindCounter, Help: "Targeted event deliveries to collective members."},
-	{Name: "core.command_shed", Kind: KindCounter, Labels: []string{"cause"}, Help: "Sharded command fan-outs shed by admission before scheduling, by cause."},
-	{Name: "core.delivery_skipped", Kind: KindCounter, Labels: []string{"cause"}, Help: "Scheduled deliveries skipped because the member left or deactivated."},
+	{Name: "core.command_shed", Kind: KindCounter, Labels: []string{"cause"}, Help: "Human-command targets shed by the admission gate before delivery (server and dispatcher), by cause; each is also audited."},
 
 	// policy — the compiled decision plane.
 	{Name: "policy.epoch", Kind: KindGauge, Labels: []string{"device"}, Help: "Snapshot epoch the device last evaluated under."},

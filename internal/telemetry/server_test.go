@@ -177,6 +177,13 @@ func TestServerShutdownDeadline(t *testing.T) {
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\n"); err != nil {
 		t.Fatalf("partial write: %v", err)
 	}
+	// The listener accepts in arrival order, so once a later connection
+	// has been served the hung one is tracked by the server. Without
+	// this, Shutdown can close the listener before the hung connection
+	// is accepted and then has nothing to wait for.
+	if code, _ := get(t, "http://"+srv.Addr()+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d", code)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err == nil {
