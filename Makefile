@@ -7,8 +7,11 @@ all: build test
 build:
 	go build ./...
 
+# Vet, and fail when any file is not gofmt-clean.
 vet:
 	go vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short alloc-gate residual-gate
 	go test -shuffle=on ./...
@@ -71,11 +74,13 @@ serve-smoke:
 # second command repeats the parallel-determinism differentials under
 # the race detector — goroutine schedules vary across -count runs, so
 # byte-identical journals twice in a row is strong evidence the merge
-# order really is deterministic.
+# order really is deterministic — together with the device lock
+# discipline tests: the pinned scratch journal, routed re-entry, and
+# concurrent events and sensing on one device.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyBoxedScratchEquivalence|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize' \
-		./internal/sim ./internal/experiments ./internal/device ./internal/policy
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize' \
+		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy
 
 race:
 	go test -race ./...

@@ -59,11 +59,11 @@ type Report struct {
 	Workers   int     `json:"workers,omitempty"`
 	TargetRPS float64 `json:"targetRps,omitempty"`
 	// DurationS is the measured wall time of the run.
-	DurationS   float64 `json:"durationS"`
-	Sent        int64   `json:"sent"`
-	OK          int64   `json:"ok"`
-	Shed        int64   `json:"shed"`
-	Errors      int64   `json:"errors"`
+	DurationS float64 `json:"durationS"`
+	Sent      int64   `json:"sent"`
+	OK        int64   `json:"ok"`
+	Shed      int64   `json:"shed"`
+	Errors    int64   `json:"errors"`
 	// Overflow counts open-loop launches skipped because the
 	// in-flight cap was reached — offered load the server never saw.
 	Overflow    int64   `json:"overflow,omitempty"`

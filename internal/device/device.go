@@ -68,12 +68,6 @@ type Config struct {
 	// the shared arena instead of per-device heap allocations, packing
 	// a whole fleet's (or shard's) state vectors contiguously.
 	Arena *statespace.Arena
-	// BoxedState disables the arena/scratch fast path: every state
-	// transition allocates a fresh boxed State, as the original
-	// implementation did. It exists for the differential property test
-	// that proves the scratch path behavior-identical, and as an escape
-	// hatch.
-	BoxedState bool
 	// Telemetry, when set, counts handled events (device.events) and
 	// execution outcomes (device.executions). Nil disables the counters
 	// at zero cost.
@@ -127,7 +121,6 @@ type Device struct {
 	resCache atomic.Pointer[policy.Residual]
 
 	mu          sync.Mutex
-	state       statespace.State
 	policies    *policy.Set
 	guard       guard.Guard
 	discharger  guard.ObligationDischarger
@@ -137,19 +130,22 @@ type Device struct {
 	trajectory  *statespace.Trajectory
 	deactivated bool
 
-	// boxed disables the scratch fast path (Config.BoxedState).
-	boxed bool
-	// hmu serializes use of the MAPE scratch below. Hot-path entry
-	// points TryLock it: the holder runs the zero-allocation scratch
-	// path; contenders (concurrent callers, or re-entrant self-sends
-	// through a synchronous bus) fall back to the boxed path, which
-	// allocates but is always safe. The scratch state views handed to
-	// guards are only mutated by the hmu holder, so they are stable for
-	// the duration of a check.
+	// hmu serializes the MAPE pass over the state scratch below, whose
+	// current buffer is the device's live state. Sense, HandleEventWith,
+	// Manager.TickWith and PlanAndExecute take it; sensors, classifiers,
+	// safeness metrics and guards run under it, so the scratch views a
+	// guard is handed stay stable for the whole check. Writes to the
+	// scratch also hold mu, so CurrentState readers need only mu.
+	//
+	// hmu is never held while actuator or obligation-discharger code
+	// runs: executeTraced releases it around both and re-takes it to
+	// commit. Actuators are the only route by which a device re-enters
+	// itself (an action routed back through RouterFor and a synchronous
+	// Bus.Send, directly or via other devices), so a re-entrant event
+	// always finds hmu free. Code that runs under hmu — sensors,
+	// classifiers, metrics, guards — must not call back into the device.
 	hmu     sync.Mutex
 	scratch statespace.Scratch
-	dec     policy.Decision // reused decision buffers (guarded by hmu)
-	envBuf  []float64       // reused event-time state pin (guarded by hmu)
 
 	// actionCtx caches the action audit context map (same event type
 	// and guard every tick → one shared immutable map, not one per
@@ -185,7 +181,6 @@ func New(cfg Config) (*Device, error) {
 		org:        cfg.Organization,
 		kill:       cfg.KillSwitch,
 		log:        cfg.Audit,
-		state:      cfg.Initial,
 		policies:   policies,
 		guard:      cfg.Guard,
 		discharger: cfg.Discharger,
@@ -193,20 +188,11 @@ func New(cfg Config) (*Device, error) {
 		defaultAct: NopActuator{},
 		trajectory: trajectory,
 		tracer:     cfg.Tracer,
-		boxed:      cfg.BoxedState,
+		scratch:    statespace.NewScratch(cfg.Initial, cfg.Arena),
 	}
 	d.profile = cfg.Static
 	if d.profile.Empty() {
 		d.profile = policy.DeviceProfile(cfg.Type, cfg.Organization)
-	}
-	if !d.boxed {
-		d.scratch = statespace.NewScratch(cfg.Initial.Schema(), cfg.Arena)
-		// Presize the reused decision buffers so first events don't pay
-		// append-growth allocations.
-		d.dec = policy.Decision{
-			Actions: make([]policy.Action, 0, 4),
-			Matched: make([]string, 0, 4),
-		}
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		d.events = reg.Counter("device.events", "device", cfg.ID)
@@ -229,16 +215,12 @@ func (d *Device) Type() string { return d.typ }
 // Organization returns the operating organization.
 func (d *Device) Organization() string { return d.org }
 
-// CurrentState returns the device's current state. The returned state
-// is a stable snapshot: when the live state is scratch-backed (and so
-// would change value on the next tick), it is copied out.
+// CurrentState returns a stable snapshot of the device's current
+// state, copied out of the live scratch buffer.
 func (d *Device) CurrentState() statespace.State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.scratch.Owns(d.state) {
-		return d.state.Clone()
-	}
-	return d.state
+	return d.scratch.Cur().Clone()
 }
 
 // Policies returns the device's policy set (shared, not a copy — the
@@ -264,21 +246,12 @@ func (d *Device) TrajectoryDecline(m statespace.SafenessMetric, window int) bool
 	return d.trajectory.MonotoneDecline(m, window)
 }
 
-// stateView returns the live state without copying. Callers must hold
-// d.hmu (or know the device is boxed): the view may alias the state
-// scratch, which only the hmu holder mutates.
-func (d *Device) stateView() statespace.State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state
-}
-
 // BindSensor ties a sensor to a state variable; Sense will write the
 // sensor's readings there.
 func (d *Device) BindSensor(variable string, s Sensor) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.state.Schema().Index(variable); !ok {
+	if _, ok := d.scratch.Cur().Schema().Index(variable); !ok {
 		return fmt.Errorf("device %s: %w: %q", d.id, statespace.ErrUnknownVariable, variable)
 	}
 	if s == nil {
@@ -338,26 +311,18 @@ func (d *Device) Deactivated() bool {
 // phase of the autonomic loop). Sensor failures are collected; the
 // remaining sensors still update.
 func (d *Device) Sense() error {
-	if !d.boxed && d.hmu.TryLock() {
-		defer d.hmu.Unlock()
-		return d.senseFast()
-	}
-	return d.senseBoxed()
+	d.hmu.Lock()
+	defer d.hmu.Unlock()
+	return d.sense()
 }
 
-// senseFast writes sensor readings into the state scratch in place.
-// The caller holds d.hmu.
-func (d *Device) senseFast() error {
+// sense writes sensor readings into the live state in place. The
+// caller holds d.hmu.
+func (d *Device) sense() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.deactivated {
 		return ErrDeactivated
-	}
-	st, aerr := d.scratch.Adopt(d.state)
-	if aerr != nil {
-		// Foreign-schema state (cannot happen through the public API);
-		// keep the boxed semantics rather than fail.
-		return d.senseBoxedLocked()
 	}
 	var errs []error
 	for _, b := range d.sensors {
@@ -366,39 +331,10 @@ func (d *Device) senseFast() error {
 			errs = append(errs, fmt.Errorf("sensor %s: %w", b.String(), err))
 			continue
 		}
-		st, err = d.scratch.Set(b.variable, v)
-		if err != nil {
+		if err := d.scratch.Set(b.variable, v); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	d.state = st
-	return errors.Join(errs...)
-}
-
-func (d *Device) senseBoxed() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.deactivated {
-		return ErrDeactivated
-	}
-	return d.senseBoxedLocked()
-}
-
-func (d *Device) senseBoxedLocked() error {
-	var errs []error
-	st := d.state
-	for _, b := range d.sensors {
-		v, err := b.sensor.Read()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("sensor %s: %w", b.String(), err))
-			continue
-		}
-		st, err = st.With(b.variable, v)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	d.state = st
 	return errors.Join(errs...)
 }
 
@@ -419,26 +355,42 @@ func (d *Device) HandleEvent(ev policy.Event) ([]Execution, error) {
 // parallel shard. Routing never enables auditing that was off: a
 // device or guard with a nil log still appends nothing.
 func (d *Device) HandleEventWith(ev policy.Event, j audit.Journal) ([]Execution, error) {
-	if !d.boxed && d.hmu.TryLock() {
-		defer d.hmu.Unlock()
-		return d.handleEvent(ev, j, true, nil)
-	}
-	return d.handleEvent(ev, j, false, nil)
+	d.hmu.Lock()
+	defer d.hmu.Unlock()
+	return d.handleEvent(ev, j, nil)
 }
 
-// handleEvent implements HandleEventWith. With fast set (caller holds
-// d.hmu) it evaluates into the device's reused decision buffers and
-// executes actions through the state scratch; otherwise it takes the
-// original allocation-per-transition path. A non-nil buf is reused
-// (truncated) for the returned executions — callers passing one own
-// the previous result and accept it being overwritten.
-func (d *Device) handleEvent(ev policy.Event, j audit.Journal, fast bool, buf []Execution) ([]Execution, error) {
+// workspace holds one event's reusable buffers: the decision and the
+// event-time state pin. They are per event, not per device, because an
+// event's action loop releases hmu around each actuator and another
+// event on the same device (a re-entrant self-send, or a concurrent
+// caller) may run in that window. Pooled, they cost no allocation in
+// steady state.
+type workspace struct {
+	dec policy.Decision
+	pin []float64
+}
+
+var workspacePool = sync.Pool{New: func() any {
+	// Presized so first events don't pay append growth.
+	return &workspace{dec: policy.Decision{
+		Actions: make([]policy.Action, 0, 4),
+		Matched: make([]string, 0, 4),
+	}}
+}}
+
+// handleEvent implements HandleEventWith; the caller holds d.hmu. It
+// evaluates into a pooled workspace and executes actions through the
+// state scratch. A non-nil buf is reused (truncated) for the returned
+// executions — callers passing one own the previous result and accept
+// it being overwritten.
+func (d *Device) handleEvent(ev policy.Event, j audit.Journal, buf []Execution) ([]Execution, error) {
 	d.mu.Lock()
 	if d.deactivated {
 		d.mu.Unlock()
 		return nil, ErrDeactivated
 	}
-	env := policy.Env{Event: ev, State: d.state, Static: d.profile}
+	env := policy.Env{Event: ev, State: d.scratch.Cur(), Static: d.profile}
 	g := d.guard
 	d.mu.Unlock()
 
@@ -450,23 +402,17 @@ func (d *Device) handleEvent(ev policy.Event, j audit.Journal, fast bool, buf []
 	// Evaluate against the residual specialized to this device's static
 	// profile: decisions are identical to the full snapshot's (the
 	// residual differential property), but the scan covers only the
-	// policies this device can ever match. Both the fast and the boxed
-	// path go through the residual, so journals stay byte-identical
-	// across the two.
+	// policies this device can ever match.
 	snap := d.residual(d.policies.Snapshot()).Snap()
-	var decision policy.Decision
-	if fast {
-		snap.EvaluateInto(env, &d.dec)
-		decision = d.dec
-	} else {
-		decision = snap.Evaluate(env)
-	}
+	ws := workspacePool.Get().(*workspace)
+	snap.EvaluateInto(env, &ws.dec)
+	actions := ws.dec.Actions
 	d.lastEpoch.Store(snap.Epoch())
 	if d.tracer != nil {
 		span.SetAttr("event", ev.Type)
 		span.SetAttr("policy-epoch", snap.EpochString())
 		span.SetAttr("residual", snap.ResidualFingerprint())
-		span.SetAttr("actions", strconv.Itoa(len(decision.Actions)))
+		span.SetAttr("actions", strconv.Itoa(len(actions)))
 	}
 
 	sc := span.Context()
@@ -474,20 +420,20 @@ func (d *Device) handleEvent(ev policy.Event, j audit.Journal, fast bool, buf []
 		sc = telemetry.Extract(ev.Labels)
 	}
 	out := buf[:0]
-	if buf == nil && len(decision.Actions) > 0 {
-		out = make([]Execution, 0, len(decision.Actions))
+	if buf == nil && len(actions) > 0 {
+		out = make([]Execution, 0, len(actions))
 	}
-	if fast && len(decision.Actions) > 1 && d.scratch.Owns(env.State) {
+	if len(actions) > 1 {
 		// With several actions, action i+1's guard must still see the
 		// event-time state after action i commits into the scratch in
-		// place; pin the env to a copy in the device's reused pin
-		// buffer (we hold hmu). Single-action events (the common case)
-		// commit after the last read, so they skip the copy.
-		env.State, d.envBuf = env.State.CloneInto(d.envBuf)
+		// place; pin the env to a copy. Single-action events (the common
+		// case) commit after the last read, so they skip the copy.
+		env.State, ws.pin = env.State.CloneInto(ws.pin)
 	}
-	for _, action := range decision.Actions {
-		out = append(out, d.executeOne(env, g, snap, action, sc, j, fast))
+	for _, action := range actions {
+		out = append(out, d.executeOne(env, g, snap, action, sc, j))
 	}
+	workspacePool.Put(ws)
 	span.Finish()
 	return out, nil
 }
@@ -522,52 +468,46 @@ func (d *Device) residual(snap *policy.Snapshot) *policy.Residual {
 	return r
 }
 
-func (d *Device) executeOne(env policy.Env, g guard.Guard, snap *policy.Snapshot, action policy.Action, parent telemetry.SpanContext, j audit.Journal, fast bool) Execution {
+func (d *Device) executeOne(env policy.Env, g guard.Guard, snap *policy.Snapshot, action policy.Action, parent telemetry.SpanContext, j audit.Journal) Execution {
 	span := d.tracer.StartSpan("device.execute", d.id, parent)
 	span.SetAttr("action", action.Name)
 	trace := parent
 	if sc := span.Context(); sc.Valid() {
 		trace = sc
 	}
-	exec := d.executeTraced(env, g, snap, action, trace, j, fast)
+	exec := d.executeTraced(env, g, snap, action, trace, j)
 	switch {
 	case exec.Executed():
 		d.execExecuted.Inc()
 		span.SetAttr("result", "executed")
-	case !exec.Verdict.Allowed():
+	case exec.Err != nil:
+		d.execError.Inc()
+		span.SetAttr("result", "error")
+		span.SetAttr("error", exec.Err.Error())
+	default:
 		d.execDenied.Inc()
 		span.SetAttr("result", "denied")
 		span.SetAttr("guard", exec.Verdict.Guard)
-	default:
-		d.execError.Inc()
-		span.SetAttr("result", "error")
-		if exec.Err != nil {
-			span.SetAttr("error", exec.Err.Error())
-		}
 	}
 	span.Finish()
 	return exec
 }
 
-func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snapshot, action policy.Action, trace telemetry.SpanContext, j audit.Journal, fast bool) Execution {
+// executeTraced runs one directed action; the caller holds d.hmu, which
+// is released around the actuator and the obligation discharge. An
+// action reached after the device was deactivated — by an earlier
+// action of the same event, or concurrently while an actuator ran — is
+// neither actuated nor committed nor audited.
+func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snapshot, action policy.Action, trace telemetry.SpanContext, j audit.Journal) Execution {
 	d.mu.Lock()
-	var next statespace.State
-	var err error
-	if fast {
-		// Predict into the scratch's next buffer: the view handed to
-		// the guard stays stable because only the hmu holder (us)
-		// mutates scratch, and concurrent boxed-path operations never
-		// touch it.
-		if _, aerr := d.scratch.Adopt(d.state); aerr == nil {
-			d.state = d.scratch.Cur()
-			next, err = d.scratch.Peek(action.Effect)
-		} else {
-			fast = false
-			next, err = d.state.Apply(action.Effect)
-		}
-	} else {
-		next, err = d.state.Apply(action.Effect)
+	if d.deactivated {
+		d.mu.Unlock()
+		return Execution{Action: action, Err: ErrDeactivated}
 	}
+	// Predict into the scratch's next buffer: the views handed to the
+	// guard stay stable because only the hmu holder (us) mutates the
+	// scratch.
+	next, err := d.scratch.Peek(action.Effect)
 	if err != nil {
 		// An effect referencing unknown variables predicts nothing;
 		// fail closed by leaving Next invalid.
@@ -576,7 +516,7 @@ func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snaps
 	ctx := guard.ActionContext{
 		Actor:    d.id,
 		Action:   action,
-		State:    d.state,
+		State:    d.scratch.Cur(),
 		Next:     next,
 		Env:      env,
 		Policies: snap,
@@ -605,24 +545,16 @@ func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snaps
 		exec.Err = fmt.Errorf("%w: %s", ErrNoActuator, verdict.Action.Name)
 		return exec
 	}
-	if err := invoke(actuator, verdict.Action, trace); err != nil {
+	if err := d.invokeUnlocked(actuator, verdict.Action, trace); err != nil {
 		exec.Err = fmt.Errorf("actuator %s: %w", actuator.Name(), err)
 		return exec
 	}
 
 	d.mu.Lock()
-	if fast && d.scratch.Owns(d.state) {
-		// Commit in place. The Owns re-check covers the window where a
-		// concurrent boxed-path operation replaced the state while the
-		// guard ran.
-		if newState, err := d.scratch.Commit(verdict.Action.Effect); err == nil {
-			d.state = newState
-			if err := d.trajectory.Append(newState); err != nil {
-				exec.Err = err
-			}
-		}
-	} else if newState, err := d.state.Apply(verdict.Action.Effect); err == nil {
-		d.state = newState
+	// Commit in place onto the live state: an event that ran while the
+	// actuator did (a re-entrant self-send) has already committed, and
+	// this effect composes after it.
+	if newState, err := d.scratch.Commit(verdict.Action.Effect); err == nil {
 		if err := d.trajectory.Append(newState); err != nil {
 			exec.Err = err
 		}
@@ -649,6 +581,15 @@ func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snaps
 	return exec
 }
 
+// invokeUnlocked runs the actuator with d.hmu released (see the hmu
+// field) and re-takes it before returning — also when the actuator
+// panics, so the caller's deferred Unlock stays balanced.
+func (d *Device) invokeUnlocked(a Actuator, act policy.Action, sc telemetry.SpanContext) error {
+	d.hmu.Unlock()
+	defer d.hmu.Lock()
+	return invoke(a, act, sc)
+}
+
 // actionDetail renders the action's String form through a pooled
 // buffer and dedups the result — one retained string per distinct
 // action, however often it executes.
@@ -672,6 +613,10 @@ func (d *Device) dischargeObligations(action policy.Action) map[string]error {
 	d.mu.Lock()
 	discharger := d.discharger
 	d.mu.Unlock()
+	// Dischargers act on the world as actuators do, so they too run
+	// with d.hmu released.
+	d.hmu.Unlock()
+	defer d.hmu.Lock()
 
 	errs := make(map[string]error, len(action.Obligations))
 	for _, ob := range action.Obligations {

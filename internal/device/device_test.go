@@ -539,3 +539,65 @@ func (g *guardCaptureSnapshot) Check(ctx guard.ActionContext) guard.Verdict {
 	g.seen = ctx.Policies
 	return guard.Verdict{Decision: guard.DecisionAllow, Action: ctx.Action, Guard: "capture"}
 }
+
+// TestDeactivationStopsRestOfEvent checks the stop signal is obeyed at
+// every step: a device deactivated by its own first action (here the
+// halt actuator pulls the kill switch) must not actuate, commit or
+// audit the event's remaining actions. Each returns not executed with
+// ErrDeactivated.
+func TestDeactivationStopsRestOfEvent(t *testing.T) {
+	ks, err := guard.NewKillSwitch([]byte("secret"))
+	if err != nil {
+		t.Fatalf("NewKillSwitch: %v", err)
+	}
+	log := audit.New()
+	s := devSchema(t)
+	initial, err := s.StateFromMap(map[string]float64{"heat": 10})
+	if err != nil {
+		t.Fatalf("StateFromMap: %v", err)
+	}
+	d, err := New(Config{ID: "d", Initial: initial, KillSwitch: ks, Audit: log})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := d.Policies().AddBatch([]policy.Policy{
+		{ID: "halt", EventType: "alarm", Modality: policy.ModalityDo, Priority: 10,
+			Action: policy.Action{Name: "halt"}},
+		{ID: "strike", EventType: "alarm", Modality: policy.ModalityDo, Priority: 5,
+			Action: policy.Action{Name: "strike", Effect: statespace.Delta{"heat": 50}}},
+	}); err != nil {
+		t.Fatalf("AddBatch: %v", err)
+	}
+	if err := d.RegisterActuator("halt", ActuatorFunc{Label: "halt", Fn: func(policy.Action) error {
+		return d.Deactivate(ks.TokenFor("d"))
+	}}); err != nil {
+		t.Fatalf("RegisterActuator: %v", err)
+	}
+	struck := 0
+	if err := d.RegisterActuator("strike", ActuatorFunc{Label: "strike", Fn: func(policy.Action) error {
+		struck++
+		return nil
+	}}); err != nil {
+		t.Fatalf("RegisterActuator: %v", err)
+	}
+
+	execs, err := d.HandleEvent(policy.Event{Type: "alarm"})
+	if err != nil {
+		t.Fatalf("HandleEvent: %v", err)
+	}
+	if len(execs) != 2 || execs[0].Action.Name != "halt" || !execs[0].Executed() {
+		t.Fatalf("execs = %+v", execs)
+	}
+	if execs[1].Executed() || !errors.Is(execs[1].Err, ErrDeactivated) {
+		t.Errorf("strike after deactivation = %+v, want not executed with ErrDeactivated", execs[1])
+	}
+	if struck != 0 {
+		t.Errorf("strike actuated %d times after deactivation", struck)
+	}
+	if got := d.CurrentState().MustGet("heat"); got != 10 {
+		t.Errorf("heat = %g, want 10 (strike committed after deactivation)", got)
+	}
+	if actions := log.ByKind(audit.KindAction); len(actions) != 1 || actions[0].Detail != "halt" {
+		t.Errorf("audited actions = %+v, want only halt", actions)
+	}
+}

@@ -106,6 +106,8 @@ func (pl *Planner) Choose(actor string, state statespace.State, env policy.Env, 
 // it through HandleEvent semantics: the action's effect is applied and
 // its actuator invoked. It returns the plan and the execution.
 func (d *Device) PlanAndExecute(pl *Planner, env policy.Env, candidates []policy.Action) (Plan, Execution, error) {
+	d.hmu.Lock()
+	defer d.hmu.Unlock()
 	if d.Deactivated() {
 		return Plan{}, Execution{}, ErrDeactivated
 	}
@@ -127,7 +129,7 @@ func (d *Device) PlanAndExecute(pl *Planner, env policy.Env, candidates []policy
 		sc = telemetry.Extract(env.Event.Labels)
 	}
 	// The guard already ruled; execute without re-checking.
-	exec := d.executeOne(env, nil, d.residual(d.policies.Snapshot()).Snap(), plan.Action, sc, nil, false)
+	exec := d.executeOne(env, nil, d.residual(d.policies.Snapshot()).Snap(), plan.Action, sc, nil)
 	span.Finish()
 	return plan, exec, nil
 }

@@ -36,14 +36,13 @@ type Manager struct {
 	// RepairEventType overrides DefaultRepairEvent.
 	RepairEventType string
 
-	// attrs is the reused event-attribute map of the fast tick path.
-	// It is guarded by the device's scratch mutex (hmu): only the
-	// holder of that lock runs the fast path, and the event handed to
-	// the device is fully consumed before the tick returns.
-	attrs map[string]float64
-	// execBuf is the reused execution slice of the fast tick path
-	// (same hmu guard as attrs). The Executions of a fast tick's
-	// Report are valid only until the next tick.
+	// attrs and execBuf are the tick's reused event-attribute map and
+	// execution slice; the Executions of a Report are valid only until
+	// the next tick. They live on the Manager, not under the device's
+	// lock — hmu is released while actuators run — so ticks of one
+	// Manager must not overlap. The orchestrator runs each device's
+	// ticks on that device's own shard, which guarantees this.
+	attrs   map[string]float64
 	execBuf []Execution
 }
 
@@ -83,36 +82,17 @@ func (m *Manager) Tick(now time.Time) (TickReport, error) {
 // maps/slices; anything outside this list belongs in a barrier
 // (unkeyed) event.
 func (m *Manager) TickWith(now time.Time, j audit.Journal) (TickReport, error) {
-	if !m.Device.boxed && m.Device.hmu.TryLock() {
-		defer m.Device.hmu.Unlock()
-		return m.tick(now, j, true)
-	}
-	return m.tick(now, j, false)
-}
-
-// tick implements TickWith. With fast set (the caller holds the
-// device's scratch mutex for the whole pass) the Monitor and Execute
-// phases run on the device's zero-allocation scratch path and the
-// Analyze phase classifies the live state view in place; the boxed
-// path snapshots state as the original implementation did.
-func (m *Manager) tick(now time.Time, j audit.Journal, fast bool) (TickReport, error) {
+	d := m.Device
+	d.hmu.Lock()
+	defer d.hmu.Unlock()
 	var report TickReport
-	var st statespace.State
-	if fast {
-		report.SenseErr = m.Device.senseFast()
-		if report.SenseErr == ErrDeactivated {
-			return report, ErrDeactivated
-		}
-		// Safe to read without copying: we hold hmu, so the scratch
-		// this view may alias is not mutated under us.
-		st = m.Device.stateView()
-	} else {
-		report.SenseErr = m.Device.Sense()
-		if report.SenseErr == ErrDeactivated {
-			return report, ErrDeactivated
-		}
-		st = m.Device.CurrentState()
+	report.SenseErr = d.sense()
+	if report.SenseErr == ErrDeactivated {
+		return report, ErrDeactivated
 	}
+	// Analyze the live view in place: we hold hmu, so the scratch it
+	// aliases is not mutated under the classifier.
+	st := d.scratch.Cur()
 	report.Class = m.Classifier.Classify(st)
 
 	alert := report.Class == statespace.ClassBad
@@ -121,7 +101,7 @@ func (m *Manager) tick(now time.Time, j audit.Journal, fast bool) (TickReport, e
 		if window <= 0 {
 			window = 3
 		}
-		alert = m.Device.TrajectoryDecline(m.Metric, window)
+		alert = d.TrajectoryDecline(m.Metric, window)
 	}
 	if !alert {
 		return report, nil
@@ -132,38 +112,26 @@ func (m *Manager) tick(now time.Time, j audit.Journal, fast bool) (TickReport, e
 	if eventType == "" {
 		eventType = DefaultRepairEvent
 	}
-	var attrs map[string]float64
-	if fast {
-		if m.attrs == nil {
-			m.attrs = make(map[string]float64, 2)
-		}
-		clear(m.attrs)
-		attrs = m.attrs
-	} else {
-		attrs = make(map[string]float64, 2)
+	if m.attrs == nil {
+		m.attrs = make(map[string]float64, 2)
 	}
-	attrs["class"] = float64(report.Class)
+	clear(m.attrs)
+	m.attrs["class"] = float64(report.Class)
 	if m.Metric != nil {
-		attrs["safeness"] = m.Metric.Safeness(st)
+		m.attrs["safeness"] = m.Metric.Safeness(st)
 	}
 	ev := policy.Event{
 		Type:   eventType,
-		Source: m.Device.ID(),
+		Source: d.ID(),
 		Time:   now,
-		Attrs:  attrs,
+		Attrs:  m.attrs,
 	}
-	var execs []Execution
-	var err error
-	if fast {
-		if m.execBuf == nil {
-			m.execBuf = make([]Execution, 0, 4)
-		}
-		execs, err = m.Device.handleEvent(ev, j, true, m.execBuf)
-		if execs != nil {
-			m.execBuf = execs
-		}
-	} else {
-		execs, err = m.Device.HandleEventWith(ev, j)
+	if m.execBuf == nil {
+		m.execBuf = make([]Execution, 0, 4)
+	}
+	execs, err := d.handleEvent(ev, j, m.execBuf)
+	if execs != nil {
+		m.execBuf = execs
 	}
 	report.Executions = execs
 	return report, err

@@ -32,11 +32,6 @@ type E18Params struct {
 	// TrajectoryBound is the per-device state-history ring size
 	// (default 8; decline detection needs DeclineWindow+1 = 4).
 	TrajectoryBound int
-	// Boxed disables the arena/scratch fast path on every device, so
-	// each state transition allocates a boxed State as the original
-	// implementation did. The E18 differential runs the same fleet
-	// both ways and demands byte-identical journals.
-	Boxed bool
 	// NoAudit drops the shared journal (used by the 10^6-device smoke,
 	// where the journal itself would dominate memory).
 	NoAudit bool
@@ -187,7 +182,6 @@ policy vent priority 4: on self-state-alert do vent category kinetic-action`
 			Audit:           log,
 			TrajectoryBound: p.TrajectoryBound,
 			Arena:           arena,
-			BoxedState:      p.Boxed,
 		})
 		if err != nil {
 			return nil, err
@@ -276,10 +270,7 @@ func RunE18Workers(p E18Params, workers int) (E18Outcome, error) {
 // overheating fleet runs serially and at 2/4 workers on flat
 // arena-backed state vectors, bounded trajectory rings and pooled
 // MAPE-K scratch, and every run must produce a byte-identical audit
-// journal and identical fleet state. A final run with the compact path
-// disabled (boxed allocation per transition) must match the compact
-// journals byte for byte — the compaction is memory layout, not
-// semantics.
+// journal and identical fleet state.
 func RunE18(p E18Params) (Result, error) {
 	p.defaults()
 	result := Result{
@@ -321,17 +312,9 @@ func RunE18(p E18Params) (Result, error) {
 		}
 		row("compact", out, same(out))
 	}
-	boxed := p
-	boxed.Boxed = true
-	out, err := RunE18Workers(boxed, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	row("boxed", out, same(out))
 	result.Notes = append(result.Notes,
 		fmt.Sprintf("fleet=%d period=%s horizon=%s seed=%d ring=%d; one shared arena backs all MAPE scratch;",
 			p.Fleet, p.Period, p.Horizon, p.Seed, p.TrajectoryBound),
-		"equal tip hash over equal length = byte-identical hash-chained journal; the boxed row proves the",
-		"compact path is layout-only (same journal bytes, same fleet state); alloc MB is host-dependent")
+		"equal tip hash over equal length = byte-identical hash-chained journal; alloc MB is host-dependent")
 	return result, nil
 }

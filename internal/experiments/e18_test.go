@@ -6,33 +6,32 @@ import (
 	"time"
 )
 
-// TestE18BoxedDifferential is the layout-equivalence gate: the same
-// fleet run on the compact path (arena scratch, ring trajectories) and
-// on the boxed path (allocation per transition) must produce
-// byte-identical hash-chained journals and identical fleet state.
-func TestE18BoxedDifferential(t *testing.T) {
-	for _, seed := range []int64{1, 5} {
-		p := E18Params{Seed: seed, Fleet: 120, Horizon: 20 * time.Second}
-		compact, err := RunE18Workers(p, 1)
+// TestE18PinnedJournal pins the serial 120-device fleet's journal
+// length, tip hash and final heat sum. The pins were recorded when a
+// boxed allocation-per-transition path still existed beside the arena
+// scratch path and both produced exactly these values, so the compact
+// fleet stays held to the original transition semantics.
+func TestE18PinnedJournal(t *testing.T) {
+	pins := []struct {
+		seed    int64
+		entries int
+		tip     string
+		heatSum float64
+	}{
+		{1, 994, "8f43185196e670e4b6f39942ae68a0fe5b91ea384d57e2ea23f4b47720fa51af", 6638},
+		{5, 1002, "1b6f2d813e6621ed570dd4330b4b68bd43d08608ec6c40ecc18c78ceeb208ae0", 6586},
+	}
+	for _, pin := range pins {
+		out, err := RunE18Workers(E18Params{Seed: pin.seed, Fleet: 120, Horizon: 20 * time.Second}, 1)
 		if err != nil {
-			t.Fatalf("seed %d compact: %v", seed, err)
+			t.Fatalf("seed %d: %v", pin.seed, err)
 		}
-		if compact.Actions == 0 || compact.Denials == 0 {
-			t.Fatalf("seed %d: degenerate run (actions=%d denials=%d)",
-				seed, compact.Actions, compact.Denials)
+		if out.JournalLen != pin.entries || out.TipHash != pin.tip {
+			t.Errorf("seed %d: journal %d/%s, want %d/%s",
+				pin.seed, out.JournalLen, out.TipHash, pin.entries, pin.tip)
 		}
-		p.Boxed = true
-		boxed, err := RunE18Workers(p, 1)
-		if err != nil {
-			t.Fatalf("seed %d boxed: %v", seed, err)
-		}
-		if boxed.TipHash != compact.TipHash || boxed.JournalLen != compact.JournalLen {
-			t.Errorf("seed %d: boxed journal %d/%s, compact %d/%s",
-				seed, boxed.JournalLen, boxed.TipHash[:12],
-				compact.JournalLen, compact.TipHash[:12])
-		}
-		if boxed.HeatSum != compact.HeatSum {
-			t.Errorf("seed %d: boxed heat sum %g, compact %g", seed, boxed.HeatSum, compact.HeatSum)
+		if out.HeatSum != pin.heatSum {
+			t.Errorf("seed %d: heat sum %g, want %g", pin.seed, out.HeatSum, pin.heatSum)
 		}
 	}
 }
@@ -64,8 +63,8 @@ func TestE18Result(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunE18: %v", err)
 	}
-	if len(r.Rows) != 3 { // compact×2 + boxed
-		t.Fatalf("rows = %d, want 3", len(r.Rows))
+	if len(r.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(r.Rows))
 	}
 	for _, row := range r.Rows[1:] {
 		if row[len(row)-1] != "yes" {

@@ -75,24 +75,12 @@ func NewVector(s *Schema, a *Arena) Vector {
 	return Vector{schema: s, vals: vals}
 }
 
-// Valid reports whether the vector has backing storage.
-func (v Vector) Valid() bool { return v.schema != nil }
-
 // State returns the vector's current value as a State view. The view
 // aliases the vector's storage: it is immutable through the State API
 // but changes value when the vector is next mutated. Callers that need
 // a durable snapshot must copy (State.Values or Trajectory.Append both
 // copy).
 func (v Vector) State() State { return State{schema: v.schema, values: v.vals} }
-
-// CopyFrom overwrites the vector with the values of st.
-func (v Vector) CopyFrom(st State) error {
-	if st.schema != v.schema {
-		return fmt.Errorf("statespace: vector/state schema mismatch")
-	}
-	copy(v.vals, st.values)
-	return nil
-}
 
 // Set assigns the named variable, clamped into its range, in place.
 func (v Vector) Set(name string, x float64) error {
@@ -132,42 +120,25 @@ func (v Vector) AddDeltaFrom(src State, d Delta) error {
 // "current" vector holding the device's live state and a "next" vector
 // for predicted states handed to guards. Using a Scratch, a full
 // sense→plan→guard→execute tick performs zero state allocations while
-// preserving the exact clamping and error semantics of the boxed
-// State.With / State.Apply path (the property test in the device
-// package checks this differentially).
+// keeping the exact clamping and error semantics of State.With and
+// State.Apply (the pinned-journal tests in the device package hold the
+// journals those semantics produce).
 //
-// A Scratch must only be used while its owner holds whatever lock
-// serialises the device's tick (devices use a try-lock and fall back
-// to the boxed path under contention), because the State views it
+// A Scratch must only be mutated while its owner holds whatever lock
+// serialises the device's MAPE pass, because the State views it
 // returns alias its buffers.
 type Scratch struct {
 	cur  Vector
 	next Vector
 }
 
-// NewScratch allocates a scratch pair for the schema, from the arena
-// when a is non-nil.
-func NewScratch(s *Schema, a *Arena) Scratch {
-	return Scratch{cur: NewVector(s, a), next: NewVector(s, a)}
-}
-
-// Valid reports whether the scratch has been initialised.
-func (sc *Scratch) Valid() bool { return sc.cur.Valid() }
-
-// Owns reports whether st is a view of the scratch's current buffer.
-func (sc *Scratch) Owns(st State) bool {
-	return len(st.values) > 0 && len(sc.cur.vals) > 0 && &st.values[0] == &sc.cur.vals[0]
-}
-
-// Adopt copies st into the current buffer (unless it is already a view
-// of it) and returns the current view.
-func (sc *Scratch) Adopt(st State) (State, error) {
-	if !sc.Owns(st) {
-		if err := sc.cur.CopyFrom(st); err != nil {
-			return State{}, err
-		}
-	}
-	return sc.cur.State(), nil
+// NewScratch allocates a scratch pair for the initial state's schema,
+// from the arena when a is non-nil, and copies the initial state into
+// the current buffer.
+func NewScratch(initial State, a *Arena) Scratch {
+	sc := Scratch{cur: NewVector(initial.schema, a), next: NewVector(initial.schema, a)}
+	copy(sc.cur.vals, initial.values)
+	return sc
 }
 
 // Cur returns the current-buffer view.
@@ -175,12 +146,7 @@ func (sc *Scratch) Cur() State { return sc.cur.State() }
 
 // Set assigns one variable of the current state in place — the
 // scratch-backed equivalent of State.With.
-func (sc *Scratch) Set(name string, x float64) (State, error) {
-	if err := sc.cur.Set(name, x); err != nil {
-		return State{}, err
-	}
-	return sc.cur.State(), nil
-}
+func (sc *Scratch) Set(name string, x float64) error { return sc.cur.Set(name, x) }
 
 // Peek computes cur + d into the next buffer and returns its view —
 // the scratch-backed equivalent of State.Apply for guard prediction.

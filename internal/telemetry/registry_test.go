@@ -144,12 +144,12 @@ func TestCheckNames(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		"net.dropped.loss",   // two dots: pre-unification style
-		"Guard.decisions",    // case
-		"guard.decision",     // misspelled (singular)
-		"busdelivered",       // no subsystem
-		"policy.compile-ms",  // dash
-		"policy.epoch.d1",    // per-device suffix instead of a label
+		"net.dropped.loss",  // two dots: pre-unification style
+		"Guard.decisions",   // case
+		"guard.decision",    // misspelled (singular)
+		"busdelivered",      // no subsystem
+		"policy.compile-ms", // dash
+		"policy.epoch.d1",   // per-device suffix instead of a label
 	} {
 		if err := CheckName(bad); err == nil {
 			t.Errorf("CheckName(%q) passed, want error", bad)
