@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-race race cover bench bench-json bench-fleet bench-admission bench-bundle bench-megafleet bench-serve bench-residual alloc-gate residual-gate conservation scope-gate fuzz-short experiments examples obs-smoke serve-smoke
+.PHONY: all build vet test test-race race cover bench bench-json bench-fleet bench-admission bench-bundle bench-megafleet bench-serve bench-residual alloc-gate residual-gate conservation scope-gate fuzz-short bench-smoke experiments examples obs-smoke serve-smoke
 
 all: build test
 
@@ -13,8 +13,15 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short alloc-gate residual-gate
+test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short bench-smoke alloc-gate residual-gate
 	go test -shuffle=on ./...
+
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` never compiles it. Vet and test it here, so a change
+# to an API the benchmark drives breaks `make test`, not the next
+# benchmark run.
+bench-smoke:
+	go -C bench vet ./... && go -C bench test ./...
 
 # The fleet allocation gate: one exact run of the 10k-device parallel
 # fleet benchmark against the committed budgets in bench_budget.json.

@@ -218,6 +218,13 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 		return false, fmt.Errorf("%w: %v", ErrMalformed, aerr)
 	}
 	a.rev = b.Manifest.Revision
-	a.coverage = next
+	// Bring the bookkeeping to next in place: the agent keeps one map
+	// for its lifetime instead of a new one per revision.
+	for _, id := range removals {
+		delete(a.coverage, id)
+	}
+	for _, rec := range b.Records {
+		a.coverage[rec.ID] = rec.Hash
+	}
 	return true, nil
 }

@@ -77,6 +77,63 @@ func benchDelta(b *testing.B, size, changed int) {
 	}
 }
 
+// BenchmarkBundleApplyWireFull measures decode plus verify-and-activate
+// of a full bundle at the fan-out shape: one org root of 6 policies,
+// a scoped key ring and a fresh device.
+func BenchmarkBundleApplyWireFull(b *testing.B) {
+	fullWire, _, ring := fanoutWire(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent := NewOrgAgent(policy.NewSet(), ring, "us")
+		if applied, err := agent.ApplyWire(fullWire); err != nil || !applied {
+			b.Fatalf("applied=%v err=%v", applied, err)
+		}
+	}
+	b.ReportMetric(float64(len(fullWire)), "wire-bytes")
+}
+
+// BenchmarkBundleApplyWireDelta measures decode plus verify-and-activate
+// of a delta changing 2 of 6 policies at the fan-out shape — what every
+// subscriber pays per revision.
+func BenchmarkBundleApplyWireDelta(b *testing.B) {
+	fullWire, deltaWire, ring := fanoutWire(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		agent := NewOrgAgent(policy.NewSet(), ring, "us")
+		if _, err := agent.ApplyWire(fullWire); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if applied, err := agent.ApplyWire(deltaWire); err != nil || !applied {
+			b.Fatalf("applied=%v err=%v", applied, err)
+		}
+	}
+	b.ReportMetric(float64(len(deltaWire)), "wire-bytes")
+}
+
+// fanoutWire encodes an org root's revision 1 (6 policies) and the
+// delta to revision 2 (2 of them changed), and returns a key ring that
+// scopes the signing key to the org.
+func fanoutWire(b *testing.B) (full, delta []byte, ring *KeyRing) {
+	pub := NewOrgPublisher(orgKey("us"), "us")
+	first, _, err := pub.Publish(mkOrgPolicies(b, "us", 6, "rev1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := mkOrgPolicies(b, "us", 6, "rev1")
+	copy(next, mkOrgPolicies(b, "us", 2, "rev2"))
+	_, second, err := pub.Publish(next)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, _ = Encode(first)
+	delta, _ = Encode(second)
+	return full, delta, NewKeyRing().Add(orgKey("us").ID, orgKey("us"), Scope{Org: "us"})
+}
+
 // BenchmarkBundleVerifyReject measures the cost of refusing a tampered
 // bundle — the fail-closed hot path under attack.
 func BenchmarkBundleVerifyReject(b *testing.B) {

@@ -17,18 +17,16 @@
 // the policy set.
 //
 // Policies travel as canonical policylang source: Parse(Print(rule))
-// round-trips exactly, so the text is both the wire format and the
-// hashed content.
+// round-trips exactly, so the text is both the record's payload and
+// its hashed content. The framing around it is one canonical binary
+// encoding (wire.go).
 package bundle
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Kind labels on bundles and their metrics.
@@ -40,11 +38,11 @@ const (
 // Record is one policy in wire form.
 type Record struct {
 	// ID is the policy ID (must match the compiled policy's ID).
-	ID string `json:"id"`
+	ID string
 	// Source is the canonical policylang text of the policy.
-	Source string `json:"source"`
+	Source string
 	// Hash is the hex SHA-256 of Source.
-	Hash string `json:"hash"`
+	Hash string
 }
 
 // Manifest describes one signed revision.
@@ -54,21 +52,21 @@ type Manifest struct {
 	// an independent revision stream; receivers holding a scoped
 	// verifier refuse a manifest whose org does not match the signing
 	// key's scope.
-	Org string `json:"org,omitempty"`
+	Org string
 	// Revision is the monotonically increasing revision number.
-	Revision uint64 `json:"revision"`
+	Revision uint64
 	// Base is the revision this delta patches (0 = full bundle).
-	Base uint64 `json:"base,omitempty"`
+	Base uint64
 	// Removed lists policy IDs deleted by this delta (sorted).
-	Removed []string `json:"removed,omitempty"`
+	Removed []string
 	// Coverage maps every policy ID in the complete post-activation
 	// set to its content hash — full and delta bundles alike describe
 	// the whole revision, so a receiver can prove it holds nothing
 	// more and nothing less.
-	Coverage map[string]string `json:"coverage"`
+	Coverage map[string]string
 	// Root is the hex root hash binding Revision, Base, Removed and
 	// Coverage.
-	Root string `json:"root"`
+	Root string
 }
 
 // Kind reports whether the manifest describes a full or delta bundle.
@@ -81,14 +79,14 @@ func (m Manifest) Kind() string {
 
 // Bundle is one signed, versioned policy revision on the wire.
 type Bundle struct {
-	Manifest Manifest `json:"manifest"`
+	Manifest Manifest
 	// Records carry the policy sources: the whole set for a full
 	// bundle, only the changed policies for a delta.
-	Records []Record `json:"records"`
+	Records []Record
 	// KeyID names the signing key; Sig is the hex signature over
 	// SigningBytes.
-	KeyID string `json:"keyID"`
-	Sig   string `json:"sig"`
+	KeyID string
+	Sig   string
 }
 
 // Kind reports full or delta.
@@ -105,68 +103,35 @@ func HashSource(src string) string {
 // org, revision, base, the sorted removals and the sorted coverage
 // pairs. Any bit of the revision's identity or contents therefore
 // changes the root, and the signature over the bundle pins the root.
+// The preimage is "org=O;rev=R;base=B;removed=a,b;" followed by
+// "id=hash;" per coverage entry in ID order.
 func ComputeRoot(m Manifest) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "org=%s;rev=%d;base=%d;", m.Org, m.Revision, m.Base)
-	removed := append([]string(nil), m.Removed...)
-	sort.Strings(removed)
-	fmt.Fprintf(h, "removed=%s;", strings.Join(removed, ","))
-	ids := make([]string, 0, len(m.Coverage))
-	for id := range m.Coverage {
-		ids = append(ids, id)
+	removed := m.Removed
+	if !slices.IsSorted(removed) {
+		removed = slices.Clone(removed)
+		slices.Sort(removed)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintf(h, "%s=%s;", id, m.Coverage[id])
+	var scratch [1024]byte
+	pre := append(scratch[:0], "org="...)
+	pre = append(pre, m.Org...)
+	pre = append(pre, ";rev="...)
+	pre = strconv.AppendUint(pre, m.Revision, 10)
+	pre = append(pre, ";base="...)
+	pre = strconv.AppendUint(pre, m.Base, 10)
+	pre = append(pre, ";removed="...)
+	for i, id := range removed {
+		if i > 0 {
+			pre = append(pre, ',')
+		}
+		pre = append(pre, id...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// SigningBytes returns the canonical bytes the signature covers: the
-// JSON encoding of the bundle with KeyID and Sig cleared (encoding/json
-// serializes map keys sorted, so the encoding is deterministic).
-func (b Bundle) SigningBytes() []byte {
-	shadow := b
-	shadow.KeyID = ""
-	shadow.Sig = ""
-	data, err := json.Marshal(shadow)
-	if err != nil {
-		// All fields are marshalable; kept defensive so an unhashable
-		// bundle can never verify.
-		return nil
+	pre = append(pre, ';')
+	for _, e := range sortedCoverage(m.Coverage) {
+		pre = append(pre, e.id...)
+		pre = append(pre, '=')
+		pre = append(pre, e.hash...)
+		pre = append(pre, ';')
 	}
-	return data
-}
-
-// SignWith signs the bundle in place.
-func (b *Bundle) SignWith(s Signer) {
-	b.KeyID = s.KeyID()
-	b.Sig = s.Sign(b.SigningBytes())
-}
-
-// CheckSig reports whether the bundle's signature verifies under v.
-func (b Bundle) CheckSig(v Verifier) bool {
-	if v == nil || b.Sig == "" {
-		return false
-	}
-	return v.Verify(b.KeyID, b.SigningBytes(), b.Sig)
-}
-
-// ErrDecode marks wire bytes that do not parse as a bundle.
-var ErrDecode = errors.New("bundle: undecodable bytes")
-
-// Encode serializes the bundle for the wire.
-func Encode(b Bundle) ([]byte, error) {
-	return json.Marshal(b)
-}
-
-// Decode parses wire bytes. It performs only structural parsing;
-// Agent.Apply does all semantic verification, so a decoded bundle is
-// not yet trusted.
-func Decode(data []byte) (Bundle, error) {
-	var b Bundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Bundle{}, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	return b, nil
+	sum := sha256.Sum256(pre)
+	return hex.EncodeToString(sum[:])
 }

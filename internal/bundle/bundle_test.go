@@ -1,6 +1,8 @@
 package bundle
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"strings"
@@ -111,6 +113,20 @@ func TestDeltaApplySmallerThanFull(t *testing.T) {
 	p0, _ := set.Get("p00")
 	if p0.Action.Target != "rev2" {
 		t.Fatalf("p00 target %q, want rev2", p0.Action.Target)
+	}
+
+	// The agent's bookkeeping followed the removal, so the next delta
+	// patches the 11-policy set.
+	next[1] = mkPolicies(t, 2, "rev3")[1]
+	_, delta3, err := pub.Publish(next)
+	if err != nil {
+		t.Fatalf("Publish rev3: %v", err)
+	}
+	if applied, err := agent.Apply(delta3); err != nil || !applied {
+		t.Fatalf("Apply delta after a removal: applied=%v err=%v", applied, err)
+	}
+	if p1, _ := set.Get("p01"); set.Len() != 11 || p1.Action.Target != "rev3" {
+		t.Fatalf("after rev3: %d policies, p01 target %q", set.Len(), p1.Action.Target)
 	}
 }
 
@@ -280,15 +296,27 @@ func TestFailClosed(t *testing.T) {
 	}
 }
 
+// TestDecodeErrors: every way bytes can fail to be a canonical
+// encoding is refused with ErrDecode (cause "decode") before the agent
+// reads anything.
 func TestDecodeErrors(t *testing.T) {
-	set := policy.NewSet()
-	agent := NewAgent(set, testKey())
-	applied, err := agent.ApplyWire([]byte("{not json"))
-	if applied || !errors.Is(err, ErrDecode) {
-		t.Fatalf("ApplyWire garbage: applied=%v err=%v", applied, err)
+	// The hand-built control decodes, so each refusal below is caused
+	// by its one defect.
+	control := wireHeader().uv(2).str("a", "h", "b", "h").uv(0).str("k", "s")
+	if b, err := Decode(control); err != nil || len(b.Manifest.Coverage) != 2 || b.KeyID != "k" || b.Sig != "s" {
+		t.Fatalf("control input: %+v, %v", b, err)
 	}
-	if CauseOf(err) != "decode" {
-		t.Fatalf("cause %q, want decode", CauseOf(err))
+	for name, data := range malformedWire() {
+		t.Run(name, func(t *testing.T) {
+			set := policy.NewSet()
+			applied, err := NewAgent(set, testKey()).ApplyWire(data)
+			if applied || !errors.Is(err, ErrDecode) {
+				t.Fatalf("applied=%v err=%v, want ErrDecode", applied, err)
+			}
+			if CauseOf(err) != "decode" {
+				t.Fatalf("cause %q, want decode", CauseOf(err))
+			}
+		})
 	}
 }
 
@@ -310,20 +338,51 @@ func TestEd25519RoundTrip(t *testing.T) {
 	if applied, err := stranger.Apply(full); applied || CauseOf(err) != "signature" {
 		t.Fatalf("foreign ed25519 key: applied=%v err=%v", applied, err)
 	}
+	// So does a verifier holding no key or a truncated one, instead of
+	// panicking in ed25519.Verify on whatever signature arrives.
+	for _, key := range []ed25519.PublicKey{nil, signer.PublicVerifier().Key[:16]} {
+		set := policy.NewSet()
+		broken := NewAgent(set, Ed25519Verifier{ID: "asym-1", Key: key})
+		if applied, err := broken.Apply(full); applied || CauseOf(err) != "signature" || set.Len() != 0 {
+			t.Fatalf("%d-byte ed25519 key: applied=%v err=%v len=%d", len(key), applied, err, set.Len())
+		}
+	}
 }
 
+// TestWireRoundTrip: published bundles cross the wire and activate,
+// and the encoding is canonical — what Encode writes decodes and
+// re-encodes byte for byte, with the signed body as its prefix.
 func TestWireRoundTrip(t *testing.T) {
 	pub := NewPublisher(testKey())
 	full, _, err := pub.Publish(mkPolicies(t, 3, "rev1"))
 	if err != nil {
-		t.Fatalf("Publish: %v", err)
+		t.Fatalf("Publish rev1: %v", err)
 	}
-	data, err := Encode(full)
+	_, delta, err := pub.Publish(mkPolicies(t, 2, "rev2"))
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("Publish rev2: %v", err)
+	}
+	if delta.Kind() != KindDelta || len(delta.Manifest.Removed) != 1 || len(delta.Records) != 2 {
+		t.Fatalf("delta fixture: kind %s, removed %v, %d records", delta.Kind(), delta.Manifest.Removed, len(delta.Records))
 	}
 	agent := NewAgent(policy.NewSet(), testKey())
-	if applied, err := agent.ApplyWire(data); err != nil || !applied {
-		t.Fatalf("ApplyWire: applied=%v err=%v", applied, err)
+	for _, b := range []Bundle{full, delta} {
+		data, err := Encode(b)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, b.SigningBytes()) {
+			t.Fatalf("%s: signed body is not a prefix of the wire bytes", b.Kind())
+		}
+		decoded, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", b.Kind(), err)
+		}
+		if again, _ := Encode(decoded); !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-encoding differs from the wire bytes", b.Kind())
+		}
+		if applied, err := agent.ApplyWire(data); err != nil || !applied {
+			t.Fatalf("%s: ApplyWire: applied=%v err=%v", b.Kind(), applied, err)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package bundle
 
 import (
-	"strings"
+	"bytes"
+	"sort"
 	"testing"
 
 	"repro/internal/policy"
@@ -11,10 +12,12 @@ import (
 // the device-side pipeline. The invariants under fuzzing are the
 // fail-closed ones: the agent never panics, never activates a bundle it
 // could not verify under its own key, and never leaves its previous
-// revision unless the bundle verified.
+// revision unless the bundle verified. Decoding is canonical: any
+// input Decode accepts re-encodes byte for byte, so the signature the
+// agent checks covers exactly the bytes that arrived.
 func FuzzBundleDecode(f *testing.F) {
 	// Seed corpus: a legitimate bundle, truncations of it, a re-signed
-	// tampering, and assorted structural garbage.
+	// tampering, and one input per way the strict decoder refuses bytes.
 	seedPub := NewPublisher(testKey())
 	full, _, err := seedPub.Publish(mkPolicies(f, 3, "seed"))
 	if err != nil {
@@ -32,10 +35,19 @@ func FuzzBundleDecode(f *testing.F) {
 	rogue.SignWith(HMACKey{ID: "rogue", Secret: []byte("rogue")})
 	rogueBytes, _ := Encode(rogue)
 	f.Add(rogueBytes)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"manifest":{"revision":1,"coverage":{}},"records":[]}`))
-	f.Add([]byte(`{"manifest":{"revision":1,"coverage":null,"root":""},"records":[{"id":"","source":"","hash":""}]}`))
-	f.Add([]byte(strings.Repeat(`[`, 64)))
+	badMagic := bytes.Clone(good)
+	badMagic[0] ^= 0xff
+	f.Add(badMagic)
+	f.Add(append(bytes.Clone(good), 0))
+	malformed := malformedWire()
+	names := make([]string, 0, len(malformed))
+	for name := range malformed {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(malformed[name])
+	}
 	// Scoped manifests: a legitimate org-rooted bundle, the same bundle
 	// with its org swapped after signing, and a cross-org smuggle (org-A
 	// manifest carrying an org-B record) re-rooted and re-signed.
@@ -59,6 +71,11 @@ func FuzzBundleDecode(f *testing.F) {
 	f.Add(smuggleBytes)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if b, err := Decode(data); err == nil {
+			if again, _ := Encode(b); !bytes.Equal(again, data) {
+				t.Fatalf("accepted input re-encodes differently:\n in  %q\n out %q", data, again)
+			}
+		}
 		// The fuzzing agent trusts a key the corpus was NOT signed
 		// with, so no fuzzer-discovered input can legitimately verify:
 		// any activation is a fail-closed violation.

@@ -43,11 +43,16 @@ func (s Scope) effective() []string {
 
 // Allows reports whether the scope authorizes the policy ID.
 func (s Scope) Allows(policyID string) bool {
-	ps := s.effective()
-	if len(ps) == 0 {
+	return allowedBy(s.effective(), policyID)
+}
+
+// allowedBy reports whether policyID falls under one of the prefixes;
+// no prefixes allow everything.
+func allowedBy(prefixes []string, policyID string) bool {
+	if len(prefixes) == 0 {
 		return true
 	}
-	for _, p := range ps {
+	for _, p := range prefixes {
 		if strings.HasPrefix(policyID, p) {
 			return true
 		}
@@ -65,18 +70,19 @@ func checkScope(s Scope, b Bundle) error {
 	if b.Manifest.Org != s.Org {
 		return fmt.Errorf("%w: key %q scoped to org %q, manifest claims %q", ErrScope, b.KeyID, s.Org, b.Manifest.Org)
 	}
+	prefixes := s.effective()
 	for id := range b.Manifest.Coverage {
-		if !s.Allows(id) {
+		if !allowedBy(prefixes, id) {
 			return fmt.Errorf("%w: key %q covers policy %q", ErrScope, b.KeyID, id)
 		}
 	}
 	for _, rec := range b.Records {
-		if !s.Allows(rec.ID) {
+		if !allowedBy(prefixes, rec.ID) {
 			return fmt.Errorf("%w: key %q carries record %q", ErrScope, b.KeyID, rec.ID)
 		}
 	}
 	for _, id := range b.Manifest.Removed {
-		if !s.Allows(id) {
+		if !allowedBy(prefixes, id) {
 			return fmt.Errorf("%w: key %q removes policy %q", ErrScope, b.KeyID, id)
 		}
 	}

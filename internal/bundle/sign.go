@@ -35,9 +35,7 @@ func (k HMACKey) KeyID() string { return k.ID }
 
 // Sign returns the hex HMAC-SHA256 of data.
 func (k HMACKey) Sign(data []byte) string {
-	mac := hmac.New(sha256.New, k.Secret)
-	mac.Write(data)
-	return hex.EncodeToString(mac.Sum(nil))
+	return hex.EncodeToString(k.mac(data))
 }
 
 // Verify checks the tag in constant time; a foreign key ID fails.
@@ -45,15 +43,17 @@ func (k HMACKey) Verify(keyID string, data []byte, sigHex string) bool {
 	if subtle.ConstantTimeCompare([]byte(keyID), []byte(k.ID)) != 1 {
 		return false
 	}
-	want, err := hex.DecodeString(k.Sign(data))
-	if err != nil {
-		return false
-	}
 	got, err := hex.DecodeString(sigHex)
 	if err != nil {
 		return false
 	}
-	return hmac.Equal(want, got)
+	return hmac.Equal(k.mac(data), got)
+}
+
+func (k HMACKey) mac(data []byte) []byte {
+	m := hmac.New(sha256.New, k.Secret)
+	m.Write(data)
+	return m.Sum(nil)
 }
 
 // Ed25519Signer signs with an ed25519 private key — the asymmetric
@@ -88,9 +88,11 @@ type Ed25519Verifier struct {
 	Key ed25519.PublicKey
 }
 
-// Verify checks the signature; a foreign key ID fails.
+// Verify checks the signature; a foreign key ID fails, and so does
+// every signature when Key is not a whole public key (ed25519.Verify
+// would panic on it).
 func (v Ed25519Verifier) Verify(keyID string, data []byte, sigHex string) bool {
-	if keyID != v.ID {
+	if keyID != v.ID || len(v.Key) != ed25519.PublicKeySize {
 		return false
 	}
 	sig, err := hex.DecodeString(sigHex)

@@ -32,8 +32,7 @@ const (
 const defaultFanoutBatch = 512
 
 // encodeBundle is the wire encoder, a seam so tests can force the
-// encode-failure path (json.Marshal of a Bundle cannot realistically
-// fail).
+// encode-failure path (bundle.Encode itself never fails).
 var encodeBundle = bundle.Encode
 
 // BundleAck is a device's activation status report: the org root the
