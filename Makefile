@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-race race cover bench bench-json bench-fleet bench-admission bench-bundle bench-megafleet bench-serve bench-residual alloc-gate residual-gate conservation scope-gate fuzz-short bench-smoke experiments examples obs-smoke serve-smoke
+.PHONY: all build vet test test-race race cover bench-once bench-megafleet alloc-gate residual-gate conservation scope-gate fuzz-short bench-smoke experiments examples obs-smoke serve-smoke
 
 all: build test
 
@@ -13,8 +13,14 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short bench-smoke alloc-gate residual-gate
+test: vet obs-smoke serve-smoke conservation scope-gate fuzz-short bench-smoke bench-once alloc-gate residual-gate
 	go test -shuffle=on ./...
+
+# Run every Benchmark* once, so one that starts failing (a b.Fatal on
+# a degenerate run, say) fails `make test`. Nothing reads the numbers;
+# alloc-gate and residual-gate are the benchmarks that gate.
+bench-once:
+	go test -run '^$$' -bench . -benchtime=1x ./...
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never compiles it. Vet and test it here, so a change
@@ -96,63 +102,6 @@ race:
 
 cover:
 	go test -cover ./...
-
-# Benchmarks: 5 repetitions per benchmark, results mirrored to
-# bench.txt for before/after comparisons (see EXPERIMENTS.md E13).
-bench:
-	go test -bench=. -benchmem -count=5 ./... | tee bench.txt
-
-# Machine-readable benchmark results: run the suite (3 repetitions for
-# turnaround), then distill bench.txt into BENCH_PR7.json. Fleet rows
-# (BenchmarkE15Fleet*, BenchmarkE18*) also append to the cumulative
-# BENCH_HISTORY.json, so the allocation trend across PRs is one file.
-bench-json:
-	go test -bench=. -benchmem -count=3 ./... | tee bench.txt
-	sh scripts/bench_json.sh bench.txt BENCH_PR7.json
-
-# Admission-control hot paths only (PR5): admit/shed/gate/drain on a
-# virtual clock, distilled into BENCH_PR5.json.
-bench-admission:
-	go test -bench='BenchmarkAdmission' -benchmem -count=5 \
-		./internal/admission | tee bench_admission.txt
-	sh scripts/bench_json.sh bench_admission.txt BENCH_PR5.json
-
-# Bundle distribution hot paths: publish, verify+activate (full and
-# delta) and the fail-closed reject path into BENCH_PR6.json (PR6);
-# then the 100k-device multi-root publish fan-out — synchronous
-# per-device loop vs sharded batch events at 1/2/4 workers — into
-# BENCH_PR10.json (PR10), with dated rows in BENCH_HISTORY.json.
-bench-bundle:
-	go test -bench='BenchmarkBundle' -benchmem -count=5 \
-		./internal/bundle | tee bench_bundle.txt
-	sh scripts/bench_json.sh bench_bundle.txt BENCH_PR6.json
-	DIST_BENCH_FLEET=100000 go test -bench='BenchmarkDistributorFanout' \
-		-benchmem -benchtime=1x -count=3 -timeout 30m \
-		./internal/core | tee bench_fanout.txt
-	sh scripts/bench_json.sh bench_fanout.txt BENCH_PR10.json
-
-# Control-plane latency benchmarks (PR8): three loadgen runs — closed
-# loop, open loop at 1x admission capacity, open loop at 2x — with
-# p50/p95/p99 decision latency into BENCH_PR8.json; the benchmark
-# lines also append BenchmarkServe* rows to BENCH_HISTORY.json.
-bench-serve:
-	sh scripts/bench_serve.sh BENCH_PR8.json BENCH_HISTORY.json
-
-# Decision-plane / partial-evaluation benchmarks only (PR9): full
-# snapshot vs residual vs specialization cost at 10k policies,
-# distilled into BENCH_PR9.json; the Evaluate/Residual/Specialize
-# rows also append to BENCH_HISTORY.json.
-bench-residual:
-	go test -bench='BenchmarkEvaluate|BenchmarkResidual|BenchmarkSpecialize' \
-		-benchmem -count=3 ./internal/policy | tee bench_residual.txt
-	sh scripts/bench_json.sh bench_residual.txt BENCH_PR9.json
-
-# The 10k-device parallel-fleet benchmarks only (E15). One run per
-# variant: each iteration is a whole 30-virtual-second fleet, so
-# -benchtime=1x keeps the loop honest.
-bench-fleet:
-	go test -bench='BenchmarkE15Fleet' -benchmem -benchtime=1x -count=3 \
-		./internal/experiments
 
 # The mega-fleet gates (E18): the 10^5-device differential (byte-
 # identical journals at 1/2/4 workers) and the 10^6-device smoke run.

@@ -24,11 +24,9 @@
 //	loadgen [--mode closed|open] [--workers n] [--rps r]
 //	        [--duration d] [--event type] [--addr url]
 //	        [--devices n] [--admission-rate r] [--admission-burst b]
-//	        [--out report.json] [--bench-name Name]
+//	        [--out report.json]
 //
-// The JSON report (--out) is self-describing; --bench-name also
-// prints a `go test -bench`-style line so scripts/bench_json.sh can
-// fold the run into BENCH_HISTORY.json.
+// The JSON report (--out) is self-describing.
 package main
 
 import (
@@ -145,13 +143,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
-	switch cfg.mode {
-	case "closed":
+	if cfg.mode == "closed" {
 		g.closedLoop(cfg.workers, cfg.duration)
-	case "open":
+	} else {
 		g.openLoop(cfg.rps, cfg.duration)
-	default:
-		return fmt.Errorf("unknown mode %q (want closed or open)", cfg.mode)
 	}
 	elapsed := time.Since(start)
 
@@ -185,12 +180,6 @@ func run(args []string, out io.Writer) error {
 		report.OK, report.Shed, report.Errors)
 	fmt.Fprintf(out, "decision latency ms: p50 %.3f  p95 %.3f  p99 %.3f\n",
 		report.LatencyMs.P50, report.LatencyMs.P95, report.LatencyMs.P99)
-	if cfg.benchName != "" && report.Sent > 0 {
-		// One benchmark-formatted line so bench_json.sh can fold this
-		// run into the cumulative history.
-		nsPerOp := elapsed.Nanoseconds() / report.Sent
-		fmt.Fprintf(out, "Benchmark%s %d %d ns/op\n", cfg.benchName, report.Sent, nsPerOp)
-	}
 	if cfg.out != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -339,7 +328,6 @@ type flags struct {
 	admissionRate  float64
 	admissionBurst float64
 	out            string
-	benchName      string
 }
 
 func parseFlags(args []string, out io.Writer) (flags, error) {
@@ -355,18 +343,17 @@ func parseFlags(args []string, out io.Writer) (flags, error) {
 	fs.Float64Var(&cfg.admissionRate, "admission-rate", 0, "self-hosted per-device admission rate (0 = ungated)")
 	fs.Float64Var(&cfg.admissionBurst, "admission-burst", 0, "self-hosted admission burst (default max(rate, 1))")
 	fs.StringVar(&cfg.out, "out", "", "write the JSON report here")
-	fs.StringVar(&cfg.benchName, "bench-name", "", "also print a benchmark-formatted line under this name")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
 	if fs.NArg() != 0 {
 		return cfg, fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
+	if cfg.mode != "closed" && cfg.mode != "open" {
+		return cfg, fmt.Errorf("unknown mode %q (want closed or open)", cfg.mode)
+	}
 	if cfg.workers <= 0 || cfg.devices <= 0 || cfg.rps <= 0 || cfg.duration <= 0 {
 		return cfg, fmt.Errorf("workers, devices, rps and duration must be positive")
-	}
-	if cfg.benchName != "" && strings.ContainsAny(cfg.benchName, " \t") {
-		return cfg, fmt.Errorf("bench-name %q must not contain whitespace", cfg.benchName)
 	}
 	return cfg, nil
 }

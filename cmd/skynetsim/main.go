@@ -17,10 +17,15 @@
 //	--parallelism n       run the event stream on the discrete-event
 //	                      engine with n workers: deliveries are sharded
 //	                      per target device, watchdog sweeps are serial
-//	                      barriers, and the audit journal (on virtual
-//	                      time) is byte-identical to a serial run.
-//	                      Incompatible with a chaos block, whose fault
-//	                      sampling is delivery-order-dependent.
+//	                      barriers, and the audit journal is stamped
+//	                      with virtual time. The summary is the same at
+//	                      any worker count, but the journal is not yet
+//	                      reproducible: traced entries carry span IDs
+//	                      taken in the order workers reach the Tracer
+//	                      (see "Determinism by construction" in
+//	                      ROADMAP.md). Incompatible with a chaos block,
+//	                      whose fault sampling is
+//	                      delivery-order-dependent.
 //
 // Scenario format:
 //
@@ -281,7 +286,10 @@ func run(args []string, out io.Writer) error {
 	// In parallel mode — and under a saturation block, whose intake
 	// queues drain in batched engine events — the scenario runs on the
 	// discrete-event engine and the journal is stamped with virtual
-	// time, so its hash chain is reproducible at any worker count.
+	// time. Its hash chain is still not reproducible at two or more
+	// workers: the tracer below hands traced entries span IDs from one
+	// counter, in whatever order the workers reach it (see
+	// "Determinism by construction" in ROADMAP.md).
 	var (
 		clock  *sim.Clock
 		engine *sim.Engine
@@ -859,9 +867,6 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 	return summary, nil
 }
 
-// buildStateModel derives the schema and classifier from the scenario:
-// the default heat/fuel model with a badHeatAt threshold, or a custom
-// variable list with a disjunction of bad conditions.
 // buildFleet constructs the scenario's devices — initial state, guard
 // stack, compiled policies — and registers them with the collective.
 // specByID, when non-nil, is filled with each device's spec for later
@@ -919,6 +924,9 @@ func buildFleet(sc scenario, schema *statespace.Schema, collective *core.Collect
 	return nil
 }
 
+// buildStateModel derives the schema and classifier from the scenario:
+// the default heat/fuel model with a badHeatAt threshold, or a custom
+// variable list with a disjunction of bad conditions.
 func buildStateModel(sc scenario) (*statespace.Schema, statespace.Classifier, error) {
 	if len(sc.Variables) == 0 {
 		schema, err := statespace.NewSchema(

@@ -18,8 +18,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// benchFleetSize reads DIST_BENCH_FLEET; the default keeps `make
-// bench` tolerable while `make bench-bundle` raises it to the
+// benchFleetSize reads DIST_BENCH_FLEET; the default keeps a run of
+// every benchmark tolerable, and DIST_BENCH_FLEET=100000 gives the
 // 100k-device fan-out measurement.
 func benchFleetSize() int {
 	if s := os.Getenv("DIST_BENCH_FLEET"); s != "" {

@@ -3,15 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/audit"
-	"repro/internal/core"
-	"repro/internal/device"
-	"repro/internal/guard"
-	"repro/internal/policy"
-	"repro/internal/policylang"
-	"repro/internal/sim"
-	"repro/internal/statespace"
 )
 
 // E15Params configures the parallel-fleet experiment.
@@ -22,8 +13,6 @@ type E15Params struct {
 	Fleet int
 	// Horizon is the virtual duration of each run.
 	Horizon time.Duration
-	// Period is the MAPE tick period.
-	Period time.Duration
 	// Workers are the engine parallelism levels to compare; the first
 	// must be 1 (the serial baseline).
 	Workers []int
@@ -39,183 +28,24 @@ func (p *E15Params) defaults() {
 	if p.Horizon <= 0 {
 		p.Horizon = 30 * time.Second
 	}
-	if p.Period <= 0 {
-		p.Period = time.Second
-	}
 	if len(p.Workers) == 0 {
 		p.Workers = []int{1, 2, 4, 8}
 	}
 }
 
-// E15Outcome is one configuration's measured result: the wall-clock
-// cost of the run and a digest of every deterministic output the
-// differential gate compares.
-type E15Outcome struct {
-	// Workers is the engine parallelism (1 = serial).
-	Workers int
-	// Wall is the host wall-clock time of the engine run.
-	Wall time.Duration
-	// JournalLen is the number of audit entries.
-	JournalLen int
-	// TipHash is the hash of the last audit entry — equal tips over
-	// equal lengths mean byte-identical hash-chained journals.
-	TipHash string
-	// Actions and Denials are the per-kind audit entry counts.
-	Actions, Denials int
-	// HeatSum is the summed final heat of the fleet (a state checksum).
-	HeatSum float64
+// e15Fleet is the overheating fleet on the default state plane, with
+// watchdog sweeps as barriers between the parallel tick batches.
+var e15Fleet = overheatFleet{
+	name: "e15-fleet", secret: "e15-quorum",
+	origin:  time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC),
+	idWidth: 5, sweep: true, journal: true,
 }
 
 // RunE15Workers builds the overheating fleet and runs it once at the
-// given parallelism. Every device climbs toward the bad region (heat ≥
-// 80) on its own sensor dynamics, the MAPE loop raises repair events,
-// the guard stack denies the harmful "vent" response and allows the
-// cooling one, and the shared hash-chained journal records all of it —
-// on virtual time, so the journal is bit-for-bit reproducible.
-func RunE15Workers(p E15Params, workers int) (E15Outcome, error) {
+// given parallelism.
+func RunE15Workers(p E15Params, workers int) (FleetOutcome, error) {
 	p.defaults()
-	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
-	engine := sim.NewEngine(clock)
-	engine.SetParallelism(workers)
-	log := audit.New(audit.WithClock(clock.Now))
-
-	schema := statespace.MustSchema(statespace.Var("heat", 0, 100))
-	classifier := statespace.ClassifierFunc(func(st statespace.State) statespace.Class {
-		if st.MustGet("heat") >= 80 {
-			return statespace.ClassBad
-		}
-		return statespace.ClassGood
-	})
-	safeness := statespace.SafenessFunc(func(st statespace.State) float64 {
-		return (100 - st.MustGet("heat")) / 100
-	})
-
-	collective, err := core.New(core.Config{
-		Name:            "e15-fleet",
-		Audit:           log,
-		KillSecret:      []byte("e15-quorum"),
-		ExpectedMembers: p.Fleet,
-	})
-	if err != nil {
-		return E15Outcome{}, err
-	}
-	mkGuard := func() guard.Guard {
-		return core.StandardPipeline(core.SafetyConfig{
-			Audit:      log,
-			Classifier: classifier,
-			HarmPredictor: guard.HarmPredictorFunc(func(ctx guard.ActionContext) float64 {
-				if ctx.Action.Name == "vent" {
-					return 1 // venting exhausts toward bystanders
-				}
-				return 0
-			}),
-			HarmThreshold: 0.5,
-		})
-	}
-
-	const fleetSource = `
-policy cool priority 5: on self-state-alert do cool effect heat -= 55
-policy vent priority 4: on self-state-alert do vent category kinetic-action`
-	policies, err := policylang.CompileSource(fleetSource, policy.OriginHuman)
-	if err != nil {
-		return E15Outcome{}, err
-	}
-
-	orch, err := core.NewOrchestrator(collective, engine)
-	if err != nil {
-		return E15Outcome{}, err
-	}
-
-	// One initial-state map, one static profile, one residual for the
-	// whole single-type fleet.
-	initValues := make(map[string]float64, 1)
-	profile := policy.DeviceProfile("reactor", "us")
-	for i := 0; i < p.Fleet; i++ {
-		id := fmt.Sprintf("dev-%05d", i)
-		// Per-device dynamics derived from seed and index only, so every
-		// run of the same configuration is identical.
-		mix := (int64(i) + p.Seed) % 41
-		heat := 20 + float64(mix)              // 20..60
-		rate := 9 + float64((i+int(p.Seed))%7) // 9..15 per tick
-		initValues["heat"] = heat
-		initial, err := schema.StateFromMap(initValues)
-		if err != nil {
-			return E15Outcome{}, err
-		}
-		d, err := device.New(device.Config{
-			ID: id, Type: "reactor", Organization: "us",
-			Static:     profile,
-			Initial:    initial,
-			Guard:      mkGuard(),
-			KillSwitch: collective.KillSwitch(),
-			Audit:      log,
-		})
-		if err != nil {
-			return E15Outcome{}, err
-		}
-		// One lock and one snapshot invalidation for the whole program,
-		// not one per policy.
-		if err := d.Policies().AddBatch(policies); err != nil {
-			return E15Outcome{}, err
-		}
-		// The sensor closure is the device's physical plant: heat climbs
-		// every tick, the cool actuator dumps it. Both run only on the
-		// device's shard, so the closure needs no locking.
-		h := heat
-		if err := d.BindSensor("heat", device.SensorFunc{Label: "thermo", Fn: func() (float64, error) {
-			h += rate
-			if h > 95 {
-				h = 95
-			}
-			return h, nil
-		}}); err != nil {
-			return E15Outcome{}, err
-		}
-		if err := d.RegisterActuator("cool", device.ActuatorFunc{Label: "chiller",
-			Fn: func(policy.Action) error {
-				h -= 55
-				if h < 15 {
-					h = 15
-				}
-				return nil
-			}}); err != nil {
-			return E15Outcome{}, err
-		}
-		d.SetDefaultActuator(device.NopActuator{})
-		if err := collective.AddDevice(d, nil); err != nil {
-			return E15Outcome{}, err
-		}
-		if err := orch.Manage(id, p.Period, classifier, safeness); err != nil {
-			return E15Outcome{}, err
-		}
-	}
-	// Watchdog sweeps are unkeyed barriers between the parallel tick
-	// batches.
-	orch.SweepEvery(5*p.Period, nil)
-
-	start := time.Now()
-	if err := orch.Run(clock.Now().Add(p.Horizon)); err != nil {
-		return E15Outcome{}, err
-	}
-	wall := time.Since(start)
-
-	if err := log.Verify(); err != nil {
-		return E15Outcome{}, fmt.Errorf("audit chain (workers=%d): %w", workers, err)
-	}
-	out := E15Outcome{
-		Workers:    workers,
-		Wall:       wall,
-		JournalLen: log.Len(),
-		Actions:    log.CountKind(audit.KindAction),
-		Denials:    log.CountKind(audit.KindDenial),
-	}
-	if entries := log.Entries(); len(entries) > 0 {
-		out.TipHash = entries[len(entries)-1].Hash
-	}
-	for _, d := range collective.Devices() {
-		out.HeatSum += d.CurrentState().MustGet("heat")
-	}
-	return out, nil
+	return e15Fleet.run(p.Seed, p.Fleet, p.Horizon, workers)
 }
 
 // RunE15 measures conservative-parallel fleet execution: the same
@@ -231,37 +61,26 @@ func RunE15(p E15Params) (Result, error) {
 		Headers: []string{"workers", "wall ms", "speedup", "journal", "actions",
 			"denials", "tip", "identical"},
 	}
-	var base E15Outcome
+	var base FleetOutcome
 	for i, workers := range p.Workers {
 		out, err := RunE15Workers(p, workers)
 		if err != nil {
 			return Result{}, err
 		}
-		identical := "baseline"
 		if i == 0 {
 			base = out
-		} else {
-			identical = "yes"
-			if out.TipHash != base.TipHash || out.JournalLen != base.JournalLen ||
-				out.HeatSum != base.HeatSum {
-				identical = "NO"
-			}
 		}
 		speedup := float64(base.Wall) / float64(out.Wall)
-		tip := out.TipHash
-		if len(tip) > 12 {
-			tip = tip[:12]
-		}
 		result.Rows = append(result.Rows, []string{
 			itoa(workers),
 			fmt.Sprintf("%.1f", float64(out.Wall.Microseconds())/1000),
 			fmt.Sprintf("%.2fx", speedup),
 			itoa(out.JournalLen), itoa(out.Actions), itoa(out.Denials),
-			tip, identical,
+			shortTip(out.TipHash), identical(i, out.sameRun(base)),
 		})
 	}
 	result.Notes = append(result.Notes,
-		fmt.Sprintf("fleet=%d period=%s horizon=%s seed=%d; MAPE ticks sharded by device ID,", p.Fleet, p.Period, p.Horizon, p.Seed),
+		fmt.Sprintf("fleet=%d period=%s horizon=%s seed=%d; MAPE ticks sharded by device ID,", p.Fleet, fleetPeriod, p.Horizon, p.Seed),
 		"watchdog sweeps as barriers; equal tip hash over equal length = byte-identical hash-chained journal;",
 		"wall times are host-dependent — see EXPERIMENTS.md for reference numbers")
 	return result, nil

@@ -265,25 +265,15 @@ func RunE16(p E16Params) (Result, error) {
 			return Result{}, fmt.Errorf("e16: %d admitted messages still queued at horizon (workers=%d)",
 				out.Pending, workers)
 		}
-		identical := "baseline"
 		if i == 0 {
 			base = out
-		} else {
-			identical = "yes"
-			norm := out
-			norm.Workers = base.Workers
-			if norm != base {
-				identical = "NO"
-			}
 		}
-		tip := out.TipHash
-		if len(tip) > 12 {
-			tip = tip[:12]
-		}
+		norm := out
+		norm.Workers = base.Workers
 		result.Rows = append(result.Rows, []string{
 			itoa(workers), itoa(out.Sent), itoa(out.Delivered), itoa(out.Dropped),
 			itoa(out.Shed), itoa(out.Pending), itoa(out.Duplicated),
-			"exact", tip, identical,
+			"exact", shortTip(out.TipHash), identical(i, norm == base),
 		})
 	}
 	c := base.Counts

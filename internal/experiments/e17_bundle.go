@@ -2,46 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bundle"
-	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/network"
-	"repro/internal/policy"
-	"repro/internal/policylang"
-	"repro/internal/sim"
-	"repro/internal/statespace"
-	"repro/internal/telemetry"
 )
 
 // E17Params configures the bundle-distribution experiment: a fleet
-// receiving a stream of signed policy revisions while chaos injects
-// loss, a symmetric partition and an asymmetric (one-way) partition,
-// plus a burst of corrupted pushes that must all be refused.
+// receiving a stream of signed policy revisions from one default root
+// on the distribution-chaos rig, plus a burst of corrupted pushes that
+// must all be refused.
 type E17Params struct {
 	// Seed drives the bus fault sampling.
 	Seed int64
-	// Fleet is the number of devices.
-	Fleet int
-	// Revisions is the number of policy revisions published.
-	Revisions int
-	// PolicyCount is the number of policies per revision.
-	PolicyCount int
-	// PublishEvery is the cadence of revision publishes.
-	PublishEvery time.Duration
-	// SweepEvery is the anti-entropy repair cadence.
-	SweepEvery time.Duration
-	// Corruptions is the number of tampered pushes injected (half
-	// rogue-signed, half undecodable).
-	Corruptions int
-	// Loss is the loss probability during the loss window.
-	Loss float64
-	// Horizon is the virtual run length.
-	Horizon time.Duration
 	// Workers are the engine parallelism levels to compare; the first
 	// must be 1 (the serial baseline).
 	Workers []int
@@ -51,34 +26,21 @@ func (p *E17Params) defaults() {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Fleet <= 0 {
-		p.Fleet = 8
-	}
-	if p.Revisions <= 0 {
-		p.Revisions = 10
-	}
-	if p.PolicyCount <= 0 {
-		p.PolicyCount = 8
-	}
-	if p.PublishEvery <= 0 {
-		p.PublishEvery = 25 * time.Millisecond
-	}
-	if p.SweepEvery <= 0 {
-		p.SweepEvery = 40 * time.Millisecond
-	}
-	if p.Corruptions <= 0 {
-		p.Corruptions = 6
-	}
-	if p.Loss <= 0 {
-		p.Loss = 0.30
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 700 * time.Millisecond
-	}
 	if len(p.Workers) == 0 {
 		p.Workers = []int{1, 2, 4}
 	}
 }
+
+// E17's world on the rig: one default root publishing e17Revisions
+// revisions of e17Policies policies to e17Fleet devices.
+const (
+	e17Fleet     = 8
+	e17Revisions = 10
+	e17Policies  = 8
+	// e17Corruptions tampered pushes are injected, half rogue-signed
+	// and half undecodable.
+	e17Corruptions = 6
+)
 
 // E17Outcome is one configuration's exact books: distribution
 // accounting, fail-closed accounting, byte costs, and the digests the
@@ -107,147 +69,27 @@ type E17Outcome struct {
 	LedgerTip      string
 }
 
-// e17Revision compiles the policy set for one revision: PolicyCount
-// policies whose action target carries the revision tag, with a
-// rotating subset mutated each revision so deltas stay small but
-// non-empty.
-func e17Revision(count, rev int) ([]policy.Policy, error) {
-	var src string
-	for i := 0; i < count; i++ {
-		// Two policies change per revision; the rest keep their
-		// previous source (same hash → not in the delta).
-		tag := "base"
-		if i == rev%count || i == (rev+1)%count {
-			tag = fmt.Sprintf("rev%d", rev)
-		}
-		src += fmt.Sprintf(
-			"policy fleet%02d priority %d:\n    on tick\n    when intensity > 0\n    do adjust target %s category surveillance\n",
-			i, i+1, tag)
-	}
-	return policylang.CompileSource(src, policy.OriginHuman)
-}
-
 // RunE17Workers runs the distribution plane through the chaos schedule
 // at one parallelism level and returns the exact outcome.
 func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	p.defaults()
-	clock := sim.NewClock(time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC))
-	engine := sim.NewEngine(clock)
-	engine.SetParallelism(workers)
-	log := audit.New(audit.WithClock(clock.Now))
-	reg := telemetry.NewRegistry()
-	bus := network.NewBus(rand.New(rand.NewSource(p.Seed)),
-		network.WithEngine(engine),
-		network.WithMetrics(reg),
-		network.WithLatency(time.Millisecond, time.Millisecond))
-
-	collective, err := core.New(core.Config{
-		Name:       "e17",
-		KillSecret: []byte("e17-secret"),
-		Audit:      log,
-		Bus:        bus,
-		Telemetry:  reg,
-	})
-	if err != nil {
-		return E17Outcome{}, err
-	}
-
-	schema, err := statespace.NewSchema(
-		statespace.Var("heat", 0, 100),
-		statespace.Var("fuel", 0, 100),
-	)
-	if err != nil {
-		return E17Outcome{}, err
-	}
 	key := bundle.HMACKey{ID: "fleet-key", Secret: []byte("e17 shared secret")}
-	dist, err := core.NewDistributor(core.DistributorConfig{
-		Collective:     collective,
-		Roots:          []core.RootConfig{{Signer: key}},
-		Telemetry:      reg,
-		Clock:          clock.Now,
-		StuckThreshold: 3,
-	})
+	rig, err := newBundleRig(rigConfig{
+		name:     "e17",
+		roots:    []rigRoot{{key: key, revisions: e17Revisions}},
+		perRoot:  e17Fleet,
+		policies: e17Policies,
+		verifier: key,
+	}, p.Seed, workers)
 	if err != nil {
 		return E17Outcome{}, err
 	}
 
-	deviceIDs := make([]string, p.Fleet)
-	for i := 0; i < p.Fleet; i++ {
-		id := fmt.Sprintf("dev-%02d", i)
-		deviceIDs[i] = id
-		initial, err := schema.StateFromMap(map[string]float64{"heat": 20, "fuel": 100})
-		if err != nil {
-			return E17Outcome{}, err
-		}
-		d, err := device.New(device.Config{
-			ID: id, Type: "drone", Organization: "us",
-			Initial:    initial,
-			KillSwitch: collective.KillSwitch(),
-			Audit:      log,
-		})
-		if err != nil {
-			return E17Outcome{}, err
-		}
-		if err := collective.AddDevice(d, nil); err != nil {
-			return E17Outcome{}, err
-		}
-		if err := dist.EnrollRoots(id, key, ""); err != nil {
-			return E17Outcome{}, err
-		}
-	}
-
-	// Publish cadence: one revision per tick, from barrier events so
-	// the bus's fault sampling order is serial and reproducible.
-	published := 0
-	var publishErr error
-	engine.ScheduleEvery(p.PublishEvery, func() bool { return published < p.Revisions && publishErr == nil }, func() {
-		pols, err := e17Revision(p.PolicyCount, published+1)
-		if err != nil {
-			publishErr = err
-			return
-		}
-		if _, err := dist.PublishRoot("", pols); err != nil {
-			publishErr = err
-			return
-		}
-		published++
-	})
-
-	// Anti-entropy repair, also on barriers, until the horizon.
-	engine.ScheduleEvery(p.SweepEvery, func() bool { return true }, func() {
-		dist.RepairSweep()
-	})
-
-	// Chaos windows, sized against the publish stream (10 revisions at
-	// 25ms → publishes end at 250ms):
-	//   - 30% loss across the middle of the stream,
-	//   - a symmetric partition cutting half the fleet off,
-	//   - a one-way partition silencing half the fleet's acks while
-	//     pushes still arrive (the push-succeeded/ack-lost case).
-	half := deviceIDs[:p.Fleet/2]
-	groups := make(map[string]int, len(half))
-	for _, id := range half {
-		groups[id] = 1
-	}
-	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: reg}
-	faults := []chaos.Fault{
-		chaos.Loss{Prob: p.Loss, At: 50 * time.Millisecond, For: 100 * time.Millisecond},
-		chaos.Partition{Groups: groups, At: 60 * time.Millisecond, For: 50 * time.Millisecond},
-		chaos.OneWayPartition{
-			From: half, To: []string{"bundle-distributor"},
-			At: 160 * time.Millisecond, For: 50 * time.Millisecond,
-		},
-	}
-	for _, f := range faults {
-		f.Inject(injector)
-	}
-
-	// Corrupted pushes after the fault windows heal (so delivery is
-	// guaranteed and the fail-closed count must equal the injection
-	// count exactly): alternately rogue-signed (wrong key) and
-	// undecodable bytes. None may activate; every one must be audited.
+	// Corrupted pushes after the fault windows heal, alternately
+	// rogue-signed (wrong key) and undecodable bytes. None may
+	// activate; every one must be audited.
 	rogue := bundle.NewPublisher(bundle.HMACKey{ID: "rogue", Secret: []byte("stolen-ish")})
-	roguePols, err := e17Revision(p.PolicyCount, 999)
+	roguePols, err := rigRevision("", e17Policies, 999)
 	if err != nil {
 		return E17Outcome{}, err
 	}
@@ -259,45 +101,26 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 	if err != nil {
 		return E17Outcome{}, err
 	}
-	// The injections are scheduled after every chaos window has healed,
-	// so delivery is guaranteed and the fail-closed books must balance
-	// exactly; a lost injection would silently weaken the assertion, so
-	// it fails the run instead.
-	corruptLost := 0
-	for i := 0; i < p.Corruptions; i++ {
-		i := i
-		at := 300*time.Millisecond + time.Duration(i)*7*time.Millisecond
-		engine.Schedule(at, func() {
-			payload := rogueBytes
-			if i%2 == 1 {
-				payload = []byte("!! not a bundle !!")
-			}
-			if err := bus.Send(network.Message{
+	deviceIDs := rig.devices[""]
+	sends := make([]rigSend, e17Corruptions)
+	for i := range sends {
+		payload := rogueBytes
+		if i%2 == 1 {
+			payload = []byte("!! not a bundle !!")
+		}
+		sends[i] = rigSend{
+			at: 300*time.Millisecond + time.Duration(i)*7*time.Millisecond,
+			msg: network.Message{
 				From: "attacker", To: deviceIDs[i%len(deviceIDs)],
 				Topic: core.TopicBundle, Payload: payload,
-			}); err != nil {
-				corruptLost++
-			}
-		})
+			},
+		}
 	}
-
-	if err := engine.Run(clock.Now().Add(p.Horizon)); err != nil {
+	if err := rig.run(sends); err != nil {
 		return E17Outcome{}, err
 	}
-	if publishErr != nil {
-		return E17Outcome{}, publishErr
-	}
-	if corruptLost != 0 {
-		return E17Outcome{}, fmt.Errorf("corruption injection (workers=%d): %d of %d pushes failed to deliver after the chaos windows healed",
-			workers, corruptLost, p.Corruptions)
-	}
-	if err := log.Verify(); err != nil {
-		return E17Outcome{}, fmt.Errorf("audit chain (workers=%d): %w", workers, err)
-	}
-	if err := dist.RootLedger("").Verify(); err != nil {
-		return E17Outcome{}, fmt.Errorf("activation ledger (workers=%d): %w", workers, err)
-	}
 
+	dist, log, reg, ledger := rig.dist, rig.log, rig.reg, rig.dist.RootLedger("")
 	out := E17Outcome{
 		Workers:        workers,
 		FinalRevision:  dist.RootRevision(""),
@@ -314,12 +137,14 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 		BytesFull:      reg.Counter("bundle.bytes_on_wire", "kind", "full").Value(),
 		BytesDelta:     reg.Counter("bundle.bytes_on_wire", "kind", "delta").Value(),
 		JournalLen:     log.Len(),
-		LedgerLen:      dist.RootLedger("").Len(),
+		JournalTip:     tipOf(log),
+		LedgerLen:      ledger.Len(),
+		LedgerTip:      tipOf(ledger),
 	}
 	out.RejectedOther = reg.CounterTotal("bundle.rejected") -
 		out.RejectedSig - out.RejectedDecode - out.RejectedGap
 	for _, id := range deviceIDs {
-		d, _ := collective.Device(id)
+		d, _ := rig.collective.Device(id)
 		if d.Policies().Revision() == out.FinalRevision {
 			out.DevicesOnFinal++
 		}
@@ -329,12 +154,6 @@ func RunE17Workers(p E17Params, workers int) (E17Outcome, error) {
 			(e.Context["cause"] == "signature" || e.Context["cause"] == "decode") {
 			out.AuditedCorrupt++
 		}
-	}
-	if entries := log.Entries(); len(entries) > 0 {
-		out.JournalTip = entries[len(entries)-1].Hash
-	}
-	if entries := dist.RootLedger("").Entries(); len(entries) > 0 {
-		out.LedgerTip = entries[len(entries)-1].Hash
 	}
 	return out, nil
 }
@@ -360,17 +179,17 @@ func RunE17(p E17Params) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if !out.Converged || out.DevicesOnFinal != p.Fleet {
+		if !out.Converged || out.DevicesOnFinal != e17Fleet {
 			return Result{}, fmt.Errorf("e17: fleet not converged at workers=%d: %d/%d devices on revision %d",
-				workers, out.DevicesOnFinal, p.Fleet, out.FinalRevision)
+				workers, out.DevicesOnFinal, e17Fleet, out.FinalRevision)
 		}
-		if got := out.RejectedSig + out.RejectedDecode; got != int64(p.Corruptions) {
+		if got := out.RejectedSig + out.RejectedDecode; got != e17Corruptions {
 			return Result{}, fmt.Errorf("e17: fail-closed count %d != injected corruptions %d (workers=%d)",
-				got, p.Corruptions, workers)
+				got, e17Corruptions, workers)
 		}
-		if out.AuditedCorrupt != p.Corruptions {
+		if out.AuditedCorrupt != e17Corruptions {
 			return Result{}, fmt.Errorf("e17: %d corruption rejections audited, want %d",
-				out.AuditedCorrupt, p.Corruptions)
+				out.AuditedCorrupt, e17Corruptions)
 		}
 		if out.RejectedOther != 0 {
 			return Result{}, fmt.Errorf("e17: unexpected rejection causes (count %d) beyond signature/decode/gap",
@@ -379,31 +198,22 @@ func RunE17(p E17Params) (Result, error) {
 		if out.ActivatedDelta == 0 || out.BytesDelta == 0 {
 			return Result{}, fmt.Errorf("e17: no delta activations measured — delta path untested")
 		}
-		identical := "baseline"
 		if i == 0 {
 			base = out
-		} else {
-			identical = "yes"
-			norm := out
-			norm.Workers = base.Workers
-			if norm != base {
-				identical = "NO"
-			}
 		}
-		tip := out.JournalTip
-		if len(tip) > 12 {
-			tip = tip[:12]
-		}
+		norm := out
+		norm.Workers = base.Workers
 		result.Rows = append(result.Rows, []string{
 			itoa(workers), itoa(int(out.FinalRevision)), fmt.Sprint(out.Converged),
 			itoa(int(out.ActivatedFull)), itoa(int(out.ActivatedDelta)),
 			itoa(int(out.RejectedSig)), itoa(int(out.RejectedDecode)), itoa(int(out.RejectedGap)),
-			itoa(int(out.Repairs)), itoa(int(out.Pulls)), tip, identical,
+			itoa(int(out.Repairs)), itoa(int(out.Pulls)), shortTip(out.JournalTip),
+			identical(i, norm == base),
 		})
 	}
 	// The byte-cost claim, measured on a representative revision step:
 	// one full bundle vs the delta for the same two-policy change.
-	fullLen, deltaLen, err := e17WireCost(p.PolicyCount)
+	fullLen, deltaLen, err := e17WireCost()
 	if err != nil {
 		return Result{}, err
 	}
@@ -411,15 +221,12 @@ func RunE17(p E17Params) (Result, error) {
 		return Result{}, fmt.Errorf("e17: delta bundle (%d B) not smaller than full (%d B)", deltaLen, fullLen)
 	}
 	result.Notes = append(result.Notes,
-		fmt.Sprintf("fleet=%d revisions=%d (%d policies each) published every %v; 30%% loss %v–%v, symmetric partition %v–%v, one-way (ack-silencing) partition %v–%v",
-			p.Fleet, p.Revisions, p.PolicyCount, p.PublishEvery,
-			50*time.Millisecond, 150*time.Millisecond,
-			60*time.Millisecond, 110*time.Millisecond,
-			160*time.Millisecond, 210*time.Millisecond),
+		fmt.Sprintf("fleet=%d revisions=%d (%d policies each) published every %v; %s",
+			e17Fleet, e17Revisions, e17Policies, rigPublishEvery, rigChaosWindows()),
 		fmt.Sprintf("convergence: %d/%d devices on the final signed revision; anti-entropy used %d repair pushes and %d pull repairs",
-			p.Fleet, p.Fleet, base.Repairs, base.Pulls),
+			e17Fleet, e17Fleet, base.Repairs, base.Pulls),
 		fmt.Sprintf("fail-closed: %d corrupted pushes injected (rogue-signed + undecodable), %d rejected, %d activated; every rejection audited with its cause",
-			p.Corruptions, base.RejectedSig+base.RejectedDecode, 0),
+			e17Corruptions, base.RejectedSig+base.RejectedDecode, 0),
 		fmt.Sprintf("wire cost: representative revision step is %d B as a delta vs %d B as a full bundle (%.0f%% saved; deltas carry only changed policies plus the coverage map); on-wire totals: full %d B, delta %d B",
 			deltaLen, fullLen, 100*(1-float64(deltaLen)/float64(fullLen)), base.BytesFull, base.BytesDelta),
 		"equal tip hashes over equal lengths = byte-identical audit journal AND activation ledger at every parallelism")
@@ -428,10 +235,10 @@ func RunE17(p E17Params) (Result, error) {
 
 // e17WireCost encodes one revision step both ways and returns the
 // encoded sizes (full, delta).
-func e17WireCost(policyCount int) (int, int, error) {
+func e17WireCost() (int, int, error) {
 	pub := bundle.NewPublisher(bundle.HMACKey{ID: "probe", Secret: []byte("probe")})
 	for rev := 1; rev <= 2; rev++ {
-		pols, err := e17Revision(policyCount, rev)
+		pols, err := rigRevision("", e17Policies, rev)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -34,11 +34,26 @@ func TestE17Converges(t *testing.T) {
 // TestE17RepairPathsExercised asserts the chaos schedule actually
 // drives the anti-entropy machinery: repair pushes happen, and the
 // one-way window forces the distributor to re-push to devices that
-// already activated.
+// already activated. It also pins the journal and ledger, recorded
+// while E17 still built its own world: the determinism gate compares
+// worker counts only with each other, so a change to the shared rig
+// that moved every worker count alike would pass it.
 func TestE17RepairPathsExercised(t *testing.T) {
 	out, err := RunE17Workers(E17Params{Seed: 1}, 1)
 	if err != nil {
 		t.Fatalf("RunE17Workers: %v", err)
+	}
+	const (
+		journalLen = 91
+		journalTip = "af0e990c3672ddb822e9348c9610945d82730cafc06ffecc0e13d8ae89f7533e"
+		ledgerLen  = 66
+		ledgerTip  = "1c4a02c73550ebae413fdaf070d1a944ef87e6849152d8e0cb875d6bb4affdb1"
+	)
+	if out.JournalLen != journalLen || out.JournalTip != journalTip {
+		t.Errorf("journal %d/%s, want %d/%s", out.JournalLen, out.JournalTip, journalLen, journalTip)
+	}
+	if out.LedgerLen != ledgerLen || out.LedgerTip != ledgerTip {
+		t.Errorf("ledger %d/%s, want %d/%s", out.LedgerLen, out.LedgerTip, ledgerLen, ledgerTip)
 	}
 	if out.Repairs == 0 {
 		t.Error("no repair pushes — chaos windows did not create lag")

@@ -6,32 +6,48 @@ import (
 	"time"
 )
 
-// TestE18PinnedJournal pins the serial 120-device fleet's journal
-// length, tip hash and final heat sum. The pins were recorded when a
-// boxed allocation-per-transition path still existed beside the arena
+// TestE18PinnedJournal pins the serial journal length, tip hash and
+// final heat sum of both runs of the shared overheating fleet: E18's
+// 120-device compact fleet and E15's 80-device fleet on the default
+// state plane. The E18 pins were recorded when a boxed
+// allocation-per-transition path still existed beside the arena
 // scratch path and both produced exactly these values, so the compact
-// fleet stays held to the original transition semantics.
+// fleet stays held to the original transition semantics. The E15 pins
+// were recorded while E15 still built its fleet on its own, so the
+// shared builder stays held to both experiments' original worlds.
 func TestE18PinnedJournal(t *testing.T) {
 	pins := []struct {
+		exp     string
 		seed    int64
 		entries int
 		tip     string
 		heatSum float64
 	}{
-		{1, 994, "8f43185196e670e4b6f39942ae68a0fe5b91ea384d57e2ea23f4b47720fa51af", 6638},
-		{5, 1002, "1b6f2d813e6621ed570dd4330b4b68bd43d08608ec6c40ecc18c78ceeb208ae0", 6586},
+		{"E18", 1, 994, "8f43185196e670e4b6f39942ae68a0fe5b91ea384d57e2ea23f4b47720fa51af", 6638},
+		{"E18", 5, 1002, "1b6f2d813e6621ed570dd4330b4b68bd43d08608ec6c40ecc18c78ceeb208ae0", 6586},
+		{"E15", 1, 660, "b23711a0bbf183215991f71615d6bb910f90b328424ad4f35561cf1ffdb2c634", 4471},
+		{"E15", 2, 664, "bf8dfd679a0e1a366aea02f7765f18a31252a2a2f214939b9d0ab082b8f4a631", 4460},
+		{"E15", 3, 668, "70b28d216fcecd61b52fcb18a771a63deb7c35e4376f01f0bef243495a369425", 4427},
 	}
 	for _, pin := range pins {
-		out, err := RunE18Workers(E18Params{Seed: pin.seed, Fleet: 120, Horizon: 20 * time.Second}, 1)
+		var (
+			out FleetOutcome
+			err error
+		)
+		if pin.exp == "E15" {
+			out, err = RunE15Workers(E15Params{Seed: pin.seed, Fleet: 80, Horizon: 20 * time.Second}, 1)
+		} else {
+			out, err = RunE18Workers(E18Params{Seed: pin.seed, Fleet: 120, Horizon: 20 * time.Second}, 1)
+		}
 		if err != nil {
-			t.Fatalf("seed %d: %v", pin.seed, err)
+			t.Fatalf("%s seed %d: %v", pin.exp, pin.seed, err)
 		}
 		if out.JournalLen != pin.entries || out.TipHash != pin.tip {
-			t.Errorf("seed %d: journal %d/%s, want %d/%s",
-				pin.seed, out.JournalLen, out.TipHash, pin.entries, pin.tip)
+			t.Errorf("%s seed %d: journal %d/%s, want %d/%s",
+				pin.exp, pin.seed, out.JournalLen, out.TipHash, pin.entries, pin.tip)
 		}
 		if out.HeatSum != pin.heatSum {
-			t.Errorf("seed %d: heat sum %g, want %g", pin.seed, out.HeatSum, pin.heatSum)
+			t.Errorf("%s seed %d: heat sum %g, want %g", pin.exp, pin.seed, out.HeatSum, pin.heatSum)
 		}
 	}
 }

@@ -34,11 +34,30 @@ func TestE21CoalitionGate(t *testing.T) {
 // TestE21ChaosPathsExercised asserts the schedule drives the machinery
 // it claims to test: repairs happened on both roots' behalf, both the
 // full and delta activation paths ran, and both per-root ledgers hold
-// hash-chained history.
+// hash-chained history. It also pins the journal and both ledgers,
+// recorded while E21 still built its own world: the determinism gate
+// compares worker counts only with each other, so a change to the
+// shared rig that moved every worker count alike would pass it.
 func TestE21ChaosPathsExercised(t *testing.T) {
 	out, err := RunE21Workers(E21Params{Seed: 1}, 1)
 	if err != nil {
 		t.Fatalf("RunE21Workers: %v", err)
+	}
+	pins := []struct {
+		name    string
+		gotLen  int
+		gotTip  string
+		wantLen int
+		wantTip string
+	}{
+		{"journal", out.JournalLen, out.JournalTip, 87, "10a3fd1d38421f1dd7a35a7037981c6db9c65c8d4cc7817f7063605ab27db31e"},
+		{"us ledger", out.LedgerLenUS, out.LedgerTipUS, 35, "0ce837faebdd127603d92c36c2350b00c472515670acb5e6edd42a4c7d74db9d"},
+		{"uk ledger", out.LedgerLenUK, out.LedgerTipUK, 22, "4d9e472de02abe5acb7c499c95df44b1e2ee41e2220114db86a6d65ff78907c6"},
+	}
+	for _, pin := range pins {
+		if pin.gotLen != pin.wantLen || pin.gotTip != pin.wantTip {
+			t.Errorf("%s %d/%s, want %d/%s", pin.name, pin.gotLen, pin.gotTip, pin.wantLen, pin.wantTip)
+		}
 	}
 	if out.Repairs == 0 {
 		t.Error("no repair pushes — chaos windows did not create lag")

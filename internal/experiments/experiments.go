@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/audit"
 )
 
 // Result is the printable outcome of one experiment.
@@ -111,6 +113,32 @@ func (r Result) CellFloat(rowLabel, header string) (float64, bool) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
+
+// tipOf returns the hash of the log's last entry ("" when empty).
+func tipOf(l *audit.Log) string {
+	_, tip := l.EntriesSince(l.Len())
+	return tip
+}
+
+// identical renders a determinism column cell: "baseline" on the
+// first row, then whether a row's outcome matches the baseline's.
+func identical(row int, same bool) string {
+	switch {
+	case row == 0:
+		return "baseline"
+	case same:
+		return "yes"
+	}
+	return "NO"
+}
+
+// shortTip abbreviates a tip hash for a table cell.
+func shortTip(tip string) string {
+	if len(tip) > 12 {
+		return tip[:12]
+	}
+	return tip
+}
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 
