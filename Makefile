@@ -29,11 +29,12 @@ bench-once:
 bench-smoke:
 	go -C bench vet ./... && go -C bench test ./...
 
-# The fleet allocation gate: one exact run of the 10k-device parallel
-# fleet benchmark against the committed budgets in bench_budget.json.
-# Keeps the memory-compact state plane honest — an accidental
-# per-tick allocation on the MAPE hot path fails `make test`, not a
-# benchmark review three PRs later.
+# The allocation gate: one exact run of each benchmark budgeted in
+# bench_budget.json — the 10k-device parallel fleet, its construction,
+# and a subscriber's delta activation on a cold and a warm record
+# table. Keeps the memory-compact state plane and the distribution
+# path honest — an accidental per-tick or per-activation allocation
+# fails `make test`, not a benchmark review three PRs later.
 alloc-gate:
 	sh scripts/alloc_gate.sh bench_budget.json
 
@@ -48,10 +49,12 @@ residual-gate:
 # bundle signed by org A's key that names an org-B policy is refused
 # with ErrScope), the multi-root distributor refusal path (including
 # reports naming an org with no root), and the E21 coalition chaos run
-# with its exact books and 1/2/4-worker determinism differential, and
-# the per-root lagging books against a brute-force recount.
+# with its exact books and 1/2/4-worker determinism differential, the
+# per-root lagging books against a brute-force recount, and the
+# fail-closed cases on a cold and a warm compiled-record table, so a
+# table hit never skips a per-device check.
 scope-gate:
-	go test -run 'TestScope|TestAgentsTwoRootsOneSet|TestKeyRing' ./internal/bundle
+	go test -run 'TestScope|TestAgentsTwoRootsOneSet|TestKeyRing|TestFailClosed|TestRecordTable' ./internal/bundle
 	go test -run 'TestDistributorMultiRoot|TestDistributorForged|TestDistributorBadPayload|TestDistributorEncodeFailure|TestDistributorUnknownOrg|TestDistributorLaggingBooks' \
 		./internal/core
 	go test -run 'TestE21' ./internal/experiments
@@ -90,12 +93,13 @@ serve-smoke:
 # byte-identical journals twice in a row is strong evidence the merge
 # order really is deterministic — together with the device lock
 # discipline tests: the pinned scratch journal, routed re-entry, and
-# concurrent events and sensing on one device; and the distributor's
-# lagging books under a two-worker engine.
+# concurrent events and sensing on one device; the distributor's
+# lagging books under a two-worker engine; and agents sharing the
+# process's compiled-record table from concurrent goroutines.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize' \
-		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable' \
+		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle
 
 race:
 	go test -race ./...

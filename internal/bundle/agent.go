@@ -1,12 +1,12 @@
 package bundle
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/policy"
-	"repro/internal/policylang"
 )
 
 // Verification failure causes, one typed error per rejected{cause}
@@ -154,6 +154,10 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 
 	// 6. Records: every carried policy must hash to its claimed
 	// content hash, compile to exactly one policy, and keep its ID.
+	// The compile comes from the process's record table, looked up by
+	// the digest this device has just computed and compared, so the
+	// table only ever answers for bytes this device verified, and the
+	// ID check below runs on every device, hit or miss.
 	upserts := make([]policy.Policy, 0, len(b.Records))
 	seen := make(map[string]bool, len(b.Records))
 	for _, rec := range b.Records {
@@ -161,10 +165,11 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 			return false, fmt.Errorf("%w: empty or duplicate record ID %q", ErrMalformed, rec.ID)
 		}
 		seen[rec.ID] = true
-		if HashSource(rec.Source) != rec.Hash {
+		sum := sha256.Sum256([]byte(rec.Source))
+		if !hashMatches(sum, rec.Hash) {
 			return false, fmt.Errorf("%w: record %s", ErrHash, rec.ID)
 		}
-		pols, cerr := policylang.CompileSource(rec.Source, policy.OriginShared)
+		pols, cerr := records.compile(sum, rec.Source)
 		if cerr != nil {
 			return false, fmt.Errorf("%w: record %s: %v", ErrMalformed, rec.ID, cerr)
 		}

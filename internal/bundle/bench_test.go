@@ -22,7 +22,9 @@ func BenchmarkBundlePublishFull(b *testing.B) {
 }
 
 // BenchmarkBundleApplyFull measures full verify-and-activate of a 32-policy
-// bundle on a fresh device.
+// bundle on a fresh device in a process that has compiled no record.
+// Emptying the record table is timed, like building the fresh set:
+// stopping the timer every iteration would cost more than it does.
 func BenchmarkBundleApplyFull(b *testing.B) {
 	pub := NewPublisher(testKey())
 	full, _, err := pub.Publish(mkPolicies(b, 32, "bench"))
@@ -32,6 +34,7 @@ func BenchmarkBundleApplyFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		resetRecordTable()
 		agent := NewAgent(policy.NewSet(), testKey())
 		if applied, err := agent.Apply(full); err != nil || !applied {
 			b.Fatalf("applied=%v err=%v", applied, err)
@@ -40,7 +43,8 @@ func BenchmarkBundleApplyFull(b *testing.B) {
 }
 
 // BenchmarkBundleApplyDelta measures verify-and-activate of a one-policy
-// delta against a 32-policy base — the steady-state distribution cost.
+// delta against a 32-policy base — the steady-state distribution cost —
+// in a process that has compiled none of the delta's records.
 func BenchmarkBundleApplyDelta(b *testing.B) {
 	benchDelta(b, 32, 1)
 }
@@ -70,6 +74,7 @@ func benchDelta(b *testing.B, size, changed int) {
 		if _, err := agent.Apply(full); err != nil {
 			b.Fatal(err)
 		}
+		resetRecordTable()
 		b.StartTimer()
 		if applied, err := agent.Apply(delta); err != nil || !applied {
 			b.Fatalf("applied=%v err=%v", applied, err)
@@ -79,12 +84,41 @@ func benchDelta(b *testing.B, size, changed int) {
 
 // BenchmarkBundleApplyWireFull measures decode plus verify-and-activate
 // of a full bundle at the fan-out shape: one org root of 6 policies,
-// a scoped key ring and a fresh device.
-func BenchmarkBundleApplyWireFull(b *testing.B) {
+// a scoped key ring, and a fresh device in a process that has compiled
+// no record — what a device running alone pays.
+func BenchmarkBundleApplyWireFull(b *testing.B) { benchWireFull(b, false) }
+
+// BenchmarkBundleApplyWireFullWarm is BenchmarkBundleApplyWireFull in a
+// process where another device has already activated the bundle, so
+// every record compile is a record-table hit.
+func BenchmarkBundleApplyWireFullWarm(b *testing.B) { benchWireFull(b, true) }
+
+// BenchmarkBundleApplyWireDelta measures decode plus verify-and-activate
+// of a delta changing 2 of 6 policies at the fan-out shape — what every
+// subscriber pays per revision — in a process that has compiled neither
+// changed record.
+func BenchmarkBundleApplyWireDelta(b *testing.B) { benchWireDelta(b, false) }
+
+// BenchmarkBundleApplyWireDeltaWarm is BenchmarkBundleApplyWireDelta in
+// a process where another device has already activated the delta: what
+// each subscriber after the first pays when a simulator holds the whole
+// fleet in one process.
+func BenchmarkBundleApplyWireDeltaWarm(b *testing.B) { benchWireDelta(b, true) }
+
+func benchWireFull(b *testing.B, warm bool) {
 	fullWire, _, ring := fanoutWire(b)
+	resetRecordTable()
+	if warm {
+		if _, err := NewOrgAgent(policy.NewSet(), ring, "us").ApplyWire(fullWire); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if !warm {
+			resetRecordTable()
+		}
 		agent := NewOrgAgent(policy.NewSet(), ring, "us")
 		if applied, err := agent.ApplyWire(fullWire); err != nil || !applied {
 			b.Fatalf("applied=%v err=%v", applied, err)
@@ -93,11 +127,17 @@ func BenchmarkBundleApplyWireFull(b *testing.B) {
 	b.ReportMetric(float64(len(fullWire)), "wire-bytes")
 }
 
-// BenchmarkBundleApplyWireDelta measures decode plus verify-and-activate
-// of a delta changing 2 of 6 policies at the fan-out shape — what every
-// subscriber pays per revision.
-func BenchmarkBundleApplyWireDelta(b *testing.B) {
+func benchWireDelta(b *testing.B, warm bool) {
 	fullWire, deltaWire, ring := fanoutWire(b)
+	resetRecordTable()
+	if warm {
+		peer := NewOrgAgent(policy.NewSet(), ring, "us")
+		for _, data := range [][]byte{fullWire, deltaWire} {
+			if _, err := peer.ApplyWire(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,6 +145,9 @@ func BenchmarkBundleApplyWireDelta(b *testing.B) {
 		agent := NewOrgAgent(policy.NewSet(), ring, "us")
 		if _, err := agent.ApplyWire(fullWire); err != nil {
 			b.Fatal(err)
+		}
+		if !warm {
+			resetRecordTable()
 		}
 		b.StartTimer()
 		if applied, err := agent.ApplyWire(deltaWire); err != nil || !applied {
@@ -117,7 +160,7 @@ func BenchmarkBundleApplyWireDelta(b *testing.B) {
 // fanoutWire encodes an org root's revision 1 (6 policies) and the
 // delta to revision 2 (2 of them changed), and returns a key ring that
 // scopes the signing key to the org.
-func fanoutWire(b *testing.B) (full, delta []byte, ring *KeyRing) {
+func fanoutWire(b testing.TB) (full, delta []byte, ring *KeyRing) {
 	pub := NewOrgPublisher(orgKey("us"), "us")
 	first, _, err := pub.Publish(mkOrgPolicies(b, "us", 6, "rev1"))
 	if err != nil {

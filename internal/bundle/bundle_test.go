@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -62,6 +63,24 @@ func TestPublishFullRoundTrip(t *testing.T) {
 	applied, err = agent.Apply(full)
 	if err != nil || applied {
 		t.Fatalf("re-apply: applied=%v err=%v, want false,nil", applied, err)
+	}
+
+	// A param value holding a control byte activates unchanged: the
+	// published text escapes it and every device decodes it back.
+	next := mkPolicies(t, 5, "rev1")
+	next[0].Action.Params = map[string]string{"note": "a\nb"}
+	if _, _, err := pub.Publish(next); err != nil {
+		t.Fatalf("Publish rev2: %v", err)
+	}
+	full2, err := pub.Full()
+	if err != nil {
+		t.Fatalf("Full rev2: %v", err)
+	}
+	if applied, err := agent.Apply(full2); err != nil || !applied {
+		t.Fatalf("Apply rev2: applied=%v err=%v", applied, err)
+	}
+	if p, _ := set.Get("p00"); p.Action.Params["note"] != "a\nb" {
+		t.Fatalf("p00 param note = %q, want %q", p.Action.Params["note"], "a\nb")
 	}
 }
 
@@ -241,6 +260,50 @@ func TestFailClosed(t *testing.T) {
 			cause: "hash",
 		},
 		{
+			// The hash check must come before the compile: a tampered
+			// source that no longer compiles is refused as a hash
+			// mismatch, not as a malformed record.
+			name: "tampered record source that does not compile",
+			corrupt: func(t *testing.T, _, delta2 Bundle) Bundle {
+				delta2.Records[0].Source += " oops"
+				delta2.SignWith(testKey())
+				return delta2
+			},
+			cause: "hash",
+		},
+		{
+			// The record's source is genuine, so a warm record table
+			// holds its compile; only the device's own hash check sees
+			// that the claimed hash, which the coverage and root agree
+			// with, is not the source's.
+			name: "claimed hash not of the carried source",
+			corrupt: func(t *testing.T, _, delta2 Bundle) Bundle {
+				delta2.Records[0].Hash = HashSource(delta2.Records[0].Source + " ")
+				delta2.Manifest.Coverage["p00"] = delta2.Records[0].Hash
+				delta2.Manifest.Root = ComputeRoot(delta2.Manifest)
+				delta2.SignWith(testKey())
+				return delta2
+			},
+			cause: "hash",
+		},
+		{
+			// p00's record carries p01's genuine source under a correct
+			// hash, and the manifest leaves p01 as it was, so only the
+			// compiles-to-its-declared-ID check stands between the
+			// bundle and p01 being overwritten through p00's slot.
+			name: "record carries another policy's source",
+			corrupt: func(t *testing.T, full1, delta2 Bundle) Bundle {
+				src := delta2.Records[1].Source
+				delta2.Records = []Record{{ID: "p00", Source: src, Hash: HashSource(src)}}
+				delta2.Manifest.Coverage = maps.Clone(full1.Manifest.Coverage)
+				delta2.Manifest.Coverage["p00"] = HashSource(src)
+				delta2.Manifest.Root = ComputeRoot(delta2.Manifest)
+				delta2.SignWith(testKey())
+				return delta2
+			},
+			cause: "malformed",
+		},
+		{
 			name: "incomplete full bundle",
 			corrupt: func(t *testing.T, full1, _ Bundle) Bundle {
 				shadow := full1
@@ -266,33 +329,57 @@ func TestFailClosed(t *testing.T) {
 		},
 	}
 
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			set, agent, full1, delta2 := setup(t)
-			before := set.Snapshot()
-			bad := tc.corrupt(t, full1, delta2)
-			applied, err := agent.Apply(bad)
-			if applied || err == nil {
-				t.Fatalf("corrupted bundle applied=%v err=%v", applied, err)
-			}
-			if got := CauseOf(err); got != tc.cause {
-				t.Fatalf("cause %q (err %v), want %q", got, err, tc.cause)
-			}
-			if agent.Revision() != 1 {
-				t.Fatalf("agent moved to revision %d after rejection", agent.Revision())
-			}
-			after := set.Snapshot()
-			if after.Revision() != before.Revision() || set.Len() != 4 {
-				t.Fatalf("live state changed after rejection: rev %d->%d len %d",
-					before.Revision(), after.Revision(), set.Len())
-			}
-			for _, id := range []string{"p00", "p01", "p02", "p03"} {
-				p, ok := set.Get(id)
-				if !ok || p.Action.Target != "rev1" {
-					t.Fatalf("policy %s disturbed after rejection: ok=%v target=%q", id, ok, p.Action.Target)
+	// Each case runs on a cold record table, and again under "warm
+	// table" after another device in the process has activated the
+	// uncorrupted revisions, so every record the corruption reuses is a
+	// table hit. A hit must not skip any check.
+	run := func(t *testing.T, warm bool) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				set, agent, full1, delta2 := setup(t)
+				resetRecordTable()
+				if warm {
+					peer := NewAgent(policy.NewSet(), key)
+					for _, b := range []Bundle{full1, delta2} {
+						if applied, err := peer.Apply(b); err != nil || !applied {
+							t.Fatalf("peer apply rev %d: applied=%v err=%v", b.Manifest.Revision, applied, err)
+						}
+					}
 				}
-			}
-		})
+				checkRefused(t, set, agent, tc.corrupt(t, full1, delta2), tc.cause)
+			})
+		}
+	}
+	run(t, false)
+	t.Run("warm table", func(t *testing.T) { run(t, true) })
+}
+
+// checkRefused applies bad and requires it refused with the given
+// cause, leaving the agent on revision 1 and the four rev1 policies of
+// TestFailClosed's fixture untouched.
+func checkRefused(t *testing.T, set *policy.Set, agent *Agent, bad Bundle, cause string) {
+	t.Helper()
+	before := set.Snapshot()
+	applied, err := agent.Apply(bad)
+	if applied || err == nil {
+		t.Fatalf("corrupted bundle applied=%v err=%v", applied, err)
+	}
+	if got := CauseOf(err); got != cause {
+		t.Fatalf("cause %q (err %v), want %q", got, err, cause)
+	}
+	if agent.Revision() != 1 {
+		t.Fatalf("agent moved to revision %d after rejection", agent.Revision())
+	}
+	after := set.Snapshot()
+	if after.Revision() != before.Revision() || set.Len() != 4 {
+		t.Fatalf("live state changed after rejection: rev %d->%d len %d",
+			before.Revision(), after.Revision(), set.Len())
+	}
+	for _, id := range []string{"p00", "p01", "p02", "p03"} {
+		p, ok := set.Get(id)
+		if !ok || p.Action.Target != "rev1" {
+			t.Fatalf("policy %s disturbed after rejection: ok=%v target=%q", id, ok, p.Action.Target)
+		}
 	}
 }
 

@@ -64,6 +64,13 @@ func (m Modality) String() string {
 var ErrInvalidPolicy = errors.New("policy: invalid policy")
 
 // Policy is one event–condition–action rule.
+//
+// A compiled policy is immutable, and one value may be shared between
+// sets: a copy shares its Condition tree and its Action's Params,
+// Effect and Obligations, and devices in one process hold the very
+// policy a bundle record compiled to (internal/bundle). Code that
+// changes a policy builds new values, as Specialize's copy-on-write
+// folding and Action.WithObligations do; nothing writes into them.
 type Policy struct {
 	// ID uniquely identifies the policy within a set.
 	ID string

@@ -45,7 +45,7 @@ func genRule(rng *rand.Rand) Rule {
 			act.Outcome = pick()
 		}
 		for i := 0; i < rng.Intn(3); i++ {
-			act.Params = append(act.Params, Param{Key: pick(), Value: "v" + pick()})
+			act.Params = append(act.Params, Param{Key: pick(), Value: genValue(rng)})
 		}
 		for i := 0; i < rng.Intn(3); i++ {
 			act.Effects = append(act.Effects, EffectSpec{
@@ -59,6 +59,16 @@ func genRule(rng *rand.Rand) Rule {
 	}
 	r.Act = act
 	return r
+}
+
+// valuePool holds the pieces of param and label values: identifiers,
+// and bytes Print must escape or pass through for Parse to return them
+// unchanged — a quote, a backslash, control bytes, a multi-byte rune
+// and a byte that is not UTF-8.
+var valuePool = []string{"alpha", "chem-1", "x9", `"`, `\`, "\n", "\t", "\x07", "é", "\xff"}
+
+func genValue(rng *rand.Rand) string {
+	return valuePool[rng.Intn(len(valuePool))] + valuePool[rng.Intn(len(valuePool))]
 }
 
 // genDelta avoids zero (printed sign would be ambiguous with +=0/-=0
@@ -84,7 +94,7 @@ func genExpr(rng *rand.Rand, depth int, pick func() string) Expr {
 	case 2:
 		return &NotExpr{Operand: genExpr(rng, depth+1, pick)}
 	case 3:
-		return &LabelExpr{Label: pick(), Value: "lv" + pick()}
+		return &LabelExpr{Label: pick(), Value: genValue(rng)}
 	case 4:
 		return TrueExpr{}
 	default:

@@ -22,7 +22,7 @@ package policylang
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"unicode"
 )
 
@@ -229,65 +229,69 @@ func (l *lexer) next() (Token, error) {
 	return Token{}, errAt(line, col, "unexpected character %q", string(c))
 }
 
+// lexIdent, lexNumber and lexString slice their token text from the
+// source instead of copying it, so a compiled policy's names share the
+// source's bytes. None of these tokens spans a newline, so the column
+// advances by the token's length.
 func (l *lexer) lexIdent(line, col int) Token {
-	var b strings.Builder
+	start := l.pos
 	for l.pos < len(l.src) {
-		c := l.peek()
-		if isIdentPart(c) {
-			b.WriteByte(c)
-			l.advance()
-			continue
-		}
+		c := l.src[l.pos]
 		// A '-' stays inside an identifier only when sandwiched
 		// between alphanumerics, so "chem-1" is one token but
 		// "x -= 1" and "x - 1" lex as operators.
-		if c == '-' && isAlnum(l.peekAt(1)) {
-			b.WriteByte(c)
-			l.advance()
-			continue
+		if !isIdentPart(c) && (c != '-' || !isAlnum(l.peekAt(1))) {
+			break
 		}
-		break
+		l.pos++
 	}
-	return Token{Kind: TokenIdent, Text: b.String(), Line: line, Col: col}
+	l.col += l.pos - start
+	return Token{Kind: TokenIdent, Text: l.src[start:l.pos], Line: line, Col: col}
 }
 
 func (l *lexer) lexNumber(line, col int) Token {
-	var b strings.Builder
+	start := l.pos
 	seenDot := false
 	for l.pos < len(l.src) {
-		c := l.peek()
-		if c >= '0' && c <= '9' {
-			b.WriteByte(c)
-			l.advance()
-			continue
-		}
+		c := l.src[l.pos]
 		if c == '.' && !seenDot && l.peekAt(1) >= '0' && l.peekAt(1) <= '9' {
 			seenDot = true
-			b.WriteByte(c)
-			l.advance()
-			continue
+		} else if c < '0' || c > '9' {
+			break
 		}
-		break
+		l.pos++
 	}
-	return Token{Kind: TokenNumber, Text: b.String(), Line: line, Col: col}
+	l.col += l.pos - start
+	return Token{Kind: TokenNumber, Text: l.src[start:l.pos], Line: line, Col: col}
 }
 
+// lexString reads a double-quoted literal. Without a backslash its
+// text is the bytes between the quotes. With one, it is decoded by
+// strconv.Unquote, the exact inverse of the %q that Print writes, so
+// Parse(Print(r)) keeps control bytes and invalid UTF-8, and an escape
+// Go does not define is a syntax error.
 func (l *lexer) lexString(line, col int) (Token, error) {
-	l.advance() // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.advance()
-		switch c {
+	start := l.pos
+	escaped := false
+	for i := start + 1; i < len(l.src); i++ {
+		switch l.src[i] {
 		case '"':
-			return Token{Kind: TokenString, Text: b.String(), Line: line, Col: col}, nil
+			lit := l.src[start : i+1]
+			l.pos = i + 1
+			l.col += len(lit)
+			if !escaped {
+				return Token{Kind: TokenString, Text: lit[1 : len(lit)-1], Line: line, Col: col}, nil
+			}
+			text, err := strconv.Unquote(lit)
+			if err != nil {
+				return Token{}, errAt(line, col, "invalid escape in string")
+			}
+			return Token{Kind: TokenString, Text: text, Line: line, Col: col}, nil
 		case '\n':
 			return Token{}, errAt(line, col, "unterminated string")
 		case '\\':
-			if l.pos < len(l.src) {
-				b.WriteByte(l.advance())
-			}
-		default:
-			b.WriteByte(c)
+			escaped = true
+			i++ // the escaped byte never closes the literal
 		}
 	}
 	return Token{}, errAt(line, col, "unterminated string")

@@ -5,14 +5,16 @@
 # Usage: sh scripts/alloc_gate.sh [bench_budget.json]
 #
 # Every benchmark named under "budgets" in bench_budget.json runs once
-# (-benchtime=1x: one whole fleet per iteration, so a single run is
-# exact, not noisy — allocation counts on these benchmarks are
-# deterministic to within a few dozen) and its allocs/op and B/op are
-# compared against the committed budget. Only POSIX sh + awk, no
-# dependencies.
+# (-benchtime=1x: one whole fleet or one activation per iteration, so a
+# single run is exact, not noisy — allocation counts on these
+# benchmarks are deterministic to within a few dozen) and its
+# allocs/op and B/op are compared against the committed budget. The
+# budgeted benchmarks live in the packages listed in $pkgs. Only POSIX
+# sh + awk, no dependencies.
 set -eu
 
 budget=${1:-bench_budget.json}
+pkgs="./internal/experiments ./internal/bundle"
 [ -f "$budget" ] || { echo "alloc_gate: $budget not found" >&2; exit 1; }
 
 # Benchmark names are the keys directly under "budgets".
@@ -28,7 +30,7 @@ names=$(awk '
 
 regex=$(printf '%s\n' "$names" | awk '{ printf "%s^%s$", sep, $0; sep = "|" }')
 echo "alloc_gate: running $(printf '%s\n' "$names" | tr '\n' ' ')"
-out=$(go test -run '^$' -bench "$regex" -benchtime=1x -benchmem ./internal/experiments)
+out=$(go test -run '^$' -bench "$regex" -benchtime=1x -benchmem $pkgs)
 
 fail=0
 for name in $names; do
@@ -41,7 +43,8 @@ for name in $names; do
 	[ -n "$want_allocs" ] && [ -n "$want_bytes" ] || {
 		echo "alloc_gate: incomplete budget for $name in $budget" >&2; exit 1; }
 
-	line=$(printf '%s\n' "$out" | grep "^$name" | head -n 1)
+	# Match the whole name: BenchmarkX must not pick up BenchmarkXWarm.
+	line=$(printf '%s\n' "$out" | grep -E "^$name(-[0-9]+)?[[:space:]]" | head -n 1)
 	[ -n "$line" ] || { echo "alloc_gate: benchmark $name produced no result" >&2; exit 1; }
 
 	got_allocs=$(printf '%s\n' "$line" | awk '{for (i=2; i<NF; i++) if ($(i+1) == "allocs/op") print $i}')
