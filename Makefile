@@ -94,12 +94,14 @@ serve-smoke:
 # order really is deterministic — together with the device lock
 # discipline tests: the pinned scratch journal, routed re-entry, and
 # concurrent events and sensing on one device; the distributor's
-# lagging books under a two-worker engine; and agents sharing the
-# process's compiled-record table from concurrent goroutines.
+# lagging books under a two-worker engine; agents sharing the
+# process's compiled-record table from concurrent goroutines; and
+# skynetsim's differentials, which run every combination of scenario
+# blocks at 1, 2 and 4 workers.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable' \
-		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario' \
+		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./cmd/skynetsim
 
 race:
 	go test -race ./...

@@ -14,23 +14,24 @@
 //	--trace-out file      write the span ring buffer as JSONL on exit
 //	--linger d            keep the process (and metrics server) alive
 //	                      for d after the scenario completes
-//	--parallelism n       run the event stream on the discrete-event
-//	                      engine with n workers: deliveries are sharded
-//	                      per target device, watchdog sweeps are serial
-//	                      barriers, and the audit journal is stamped
-//	                      with virtual time. The summary is the same at
-//	                      any worker count, but the journal is not yet
-//	                      reproducible: traced entries carry span IDs
-//	                      taken in the order workers reach the Tracer
-//	                      (see "Determinism by construction" in
-//	                      ROADMAP.md). Incompatible with a chaos block,
-//	                      whose fault sampling is
-//	                      delivery-order-dependent.
+//	--parallelism n       engine workers (default 1, the serial engine):
+//	                      deliveries to different devices may run
+//	                      concurrently. The output, journal and ledger
+//	                      tips included, is the same at any n.
+//
+// Every scenario runs on the discrete-event engine over one bus built
+// from all of its blocks, and the audit journal is stamped with virtual
+// time. Step s of the event stream fires at s virtual seconds as a
+// serial barrier: it opens one scenario.command root span and sends the
+// event over the bus to every target, reporting each failed send. A
+// second barrier, queued behind those deliveries, applies the chaos
+// block's checkpoints, crash and restart, then sweeps the watchdog.
 //
 // Scenario format:
 //
 //	{
 //	  "name": "demo",
+//	  "seed": 1,
 //	  "badHeatAt": 80,
 //	  "denialThreshold": 3,
 //	  "sweepEvery": 2,
@@ -43,43 +44,44 @@
 //	  ]
 //	}
 //
-// Targets may be "*" (all devices). Guards are the standard pipeline
-// with a state-space check at badHeatAt.
+// Unknown fields are rejected. Targets may be "*" (all devices). Guards
+// are the standard pipeline with a state-space check at badHeatAt. The
+// seed (default 1) drives every fault the bus injects.
 //
-// An optional "chaos" block degrades delivery: events then flow over
-// the in-memory bus with the configured loss/duplication and the
-// resilience stack (bounded retries, per-device circuit breakers),
-// and one device can crash mid-run and be recovered from its latest
-// audit-journal checkpoint:
+// The optional blocks below combine freely. The chaos and saturation
+// summary lines report the whole bus, bundle traffic included.
+//
+// A "chaos" block degrades the event stream: the bus loses and
+// duplicates messages, sends go through the resilience stack (bounded
+// retries, per-device circuit breakers), and one device can crash
+// mid-run and be recovered from its latest audit-journal checkpoint:
 //
 //	"chaos": {"loss": 0.3, "duplication": 0.1, "maxAttempts": 4,
 //	          "crashDevice": "d1", "crashAtStep": 3, "restartAtStep": 8}
 //
-// An optional "saturation" block puts the admission controller in
-// front of delivery: events then flow over the bus into bounded,
-// rate-limited per-device intake queues, overload is shed with typed
-// causes instead of lost, and the run reports the exact conservation
-// accounting (sent == delivered + dropped + shed). The scenario runs
-// on the discrete-event engine even at --parallelism 1 (queues drain
-// in batched engine events), and the block is incompatible with
-// "chaos", whose serial crash/restart path bypasses the engine:
+// A "saturation" block puts the admission controller in front of
+// delivery: every bus message flows into bounded, rate-limited
+// per-recipient intake queues that drain in batched engine events,
+// overload is shed with typed causes instead of lost, and the run
+// reports the exact conservation accounting (sent == delivered +
+// dropped + shed):
 //
 //	"saturation": {"queueCapacity": 8, "rate": 2, "burst": 2,
 //	               "drainBatch": 4, "drainIntervalMs": 100}
 //
-// An optional "bundle" block distributes the fleet's policies as
-// signed, versioned bundles before the event stream runs: every device
-// enrolls with the distributor, each listed revision is compiled,
-// published and repaired to convergence over a (possibly lossy) bus,
-// and tampered pushes injected afterwards must all be refused
-// fail-closed with the fleet unmoved. Incompatible with "chaos" and
-// "saturation", which own the bus differently:
+// A "bundle" block distributes the fleet's policies as signed,
+// versioned bundles before the event stream runs: every device enrolls
+// with the distributor, each listed revision is published in a barrier
+// and repaired, one sweep per virtual second, to convergence over the
+// bus at the block's loss, and tampered pushes injected afterwards must
+// all be refused fail-closed with the fleet unmoved:
 //
 //	"bundle": {"revisions": ["policy work: on tick do run ..."],
 //	           "loss": 0.3, "corruptPushes": 2}
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -87,7 +89,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -106,7 +107,9 @@ import (
 )
 
 type scenario struct {
-	Name            string  `json:"name"`
+	Name string `json:"name"`
+	// Seed drives the bus's fault randomness (default 1).
+	Seed            int64   `json:"seed"`
 	BadHeatAt       float64 `json:"badHeatAt"`
 	DenialThreshold int     `json:"denialThreshold"`
 	SweepEvery      int     `json:"sweepEvery"`
@@ -118,8 +121,8 @@ type scenario struct {
 	BadWhen []badCondition `json:"badWhen"`
 	Devices []deviceSpec   `json:"devices"`
 	Events  []eventSpec    `json:"events"`
-	// Chaos optionally injects faults; nil keeps direct, lossless
-	// delivery.
+	// Chaos optionally injects faults into the event stream; nil keeps
+	// lossless delivery.
 	Chaos *chaosSpec `json:"chaos"`
 	// Saturation optionally bounds intake behind the admission
 	// controller; nil keeps unbounded delivery.
@@ -133,11 +136,10 @@ type bundleSpec struct {
 	// Revisions are policylang sources; revision i+1 is compiled and
 	// published as one signed bundle that replaces revision i's set.
 	Revisions []string `json:"revisions"`
-	// Loss is the per-message drop probability on the distribution bus;
-	// anti-entropy repair sweeps close the resulting gaps.
+	// Loss is the per-message drop probability on the bus while the
+	// bundles are distributed; anti-entropy repair sweeps close the
+	// resulting gaps.
 	Loss float64 `json:"loss"`
-	// Seed drives the fault randomness (default 1).
-	Seed int64 `json:"seed"`
 	// MaxSweeps bounds repair sweeps per revision (default 16).
 	MaxSweeps int `json:"maxSweeps"`
 	// CorruptPushes injects that many tampered pushes after
@@ -167,8 +169,6 @@ type chaosSpec struct {
 	Duplication float64 `json:"duplication"`
 	// MaxAttempts bounds delivery retries (default 3).
 	MaxAttempts int `json:"maxAttempts"`
-	// Seed drives the fault randomness (default 1).
-	Seed int64 `json:"seed"`
 	// CrashDevice is removed at CrashAtStep and, when RestartAtStep is
 	// set, recovered from its latest checkpoint at that step.
 	CrashDevice   string `json:"crashDevice"`
@@ -215,15 +215,26 @@ func main() {
 	}
 }
 
-// loadScenario reads, parses and defaults a scenario file.
+// loadScenario reads, strictly parses and defaults a scenario file: an
+// unknown field (a typo, a setting the format no longer has) is an
+// error, not a silent no-op.
 func loadScenario(path string) (scenario, error) {
 	var sc scenario
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return sc, err
 	}
-	if err := json.Unmarshal(data, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return sc, fmt.Errorf("parse scenario: %w", err)
+	}
+	// Decode stops after the first value; refuse anything after it.
+	if _, err := dec.Token(); err != io.EOF {
+		return sc, errors.New("parse scenario: trailing data after the scenario object")
+	}
+	if sc.Seed == 0 {
+		sc.Seed = 1
 	}
 	if sc.BadHeatAt <= 0 {
 		sc.BadHeatAt = 80
@@ -240,7 +251,7 @@ func run(args []string, out io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /traces and /healthz on this address")
 	traceOut := fs.String("trace-out", "", "write finished spans as JSONL to this file on exit")
 	linger := fs.Duration("linger", 0, "keep the process (and metrics server) alive this long after the run")
-	parallelism := fs.Int("parallelism", 1, "engine workers for sharded event delivery (1 = serial, no engine)")
+	parallelism := fs.Int("parallelism", 1, "engine workers delivering to different devices concurrently (1 = serial engine)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -271,100 +282,17 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *parallelism > 1 && sc.Chaos != nil {
-		return fmt.Errorf("--parallelism cannot be combined with a chaos block: bus fault sampling is delivery-order-dependent")
-	}
-	if sc.Saturation != nil && sc.Chaos != nil {
-		return fmt.Errorf("a saturation block cannot be combined with a chaos block: admission drains on the engine, chaos crash/restart runs serially")
-	}
-	if sc.Bundle != nil && (sc.Chaos != nil || sc.Saturation != nil) {
-		return fmt.Errorf("a bundle block cannot be combined with a chaos or saturation block: each configures the bus differently")
-	}
-	if sc.Bundle != nil && *parallelism > 1 {
-		return fmt.Errorf("--parallelism cannot be combined with a bundle block: bus fault sampling is delivery-order-dependent")
-	}
-	// In parallel mode — and under a saturation block, whose intake
-	// queues drain in batched engine events — the scenario runs on the
-	// discrete-event engine and the journal is stamped with virtual
-	// time. Its hash chain is still not reproducible at two or more
-	// workers: the tracer below hands traced entries span IDs from one
-	// counter, in whatever order the workers reach it (see
-	// "Determinism by construction" in ROADMAP.md).
-	var (
-		clock  *sim.Clock
-		engine *sim.Engine
-	)
-	var logOpts []audit.Option
-	if *parallelism > 1 || sc.Saturation != nil {
-		clock = sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
-		engine = sim.NewEngine(clock)
-		engine.SetParallelism(*parallelism)
-		logOpts = append(logOpts, audit.WithClock(clock.Now))
-	}
-	log := audit.New(logOpts...)
-	coreCfg := core.Config{
-		Name:            sc.Name,
-		Audit:           log,
-		KillSecret:      []byte("skynetsim-" + sc.Name),
-		Classifier:      classifier,
-		DenialThreshold: sc.DenialThreshold,
-		Telemetry:       registry,
-		Tracer:          tracer,
-	}
-
-	// With a chaos block, events travel over a lossy bus behind the
-	// resilience stack instead of being delivered directly.
-	var (
-		bus    *network.Bus
-		sender *network.ReliableSender
-	)
-	if sc.Chaos != nil {
-		seed := sc.Chaos.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		attempts := sc.Chaos.MaxAttempts
-		if attempts <= 0 {
-			attempts = 3
-		}
-		bus = network.NewBus(rand.New(rand.NewSource(seed)),
-			network.WithLoss(sc.Chaos.Loss),
-			network.WithDuplication(sc.Chaos.Duplication),
-			network.WithMetrics(registry))
-		sender = &network.ReliableSender{
-			Bus: bus,
-			Retry: resilience.Retry{
-				MaxAttempts: attempts,
-				Sleep:       func(time.Duration) {},
-				Rand:        rand.New(rand.NewSource(seed + 1)).Float64,
-			},
-			Breakers: &resilience.BreakerSet{Threshold: 3, Cooldown: time.Minute},
-			Metrics:  registry,
-		}
-		coreCfg.Bus = bus
-	}
-
-	// With a bundle block, policy distribution travels over a lossy bus
-	// while the event stream itself stays on direct delivery — the bus
-	// carries only bundle pushes, acks and pulls.
-	if sc.Bundle != nil {
-		seed := sc.Bundle.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		bus = network.NewBus(rand.New(rand.NewSource(seed)),
-			network.WithLoss(sc.Bundle.Loss),
-			network.WithMetrics(registry))
-		coreCfg.Bus = bus
-	}
-
-	// With a saturation block, events travel over an admission-bounded
-	// bus: each device gets a bounded, rate-limited intake queue that
-	// drains in batched engine events, and overload is shed with typed
-	// causes — never lost silently.
-	var intake *admission.Controller
+	// The run is deterministic at any worker count because every bus
+	// send happens in a serial barrier, so the seeded faults are drawn
+	// in one order, and every traced journal entry carries the trace ID
+	// of a root span opened in a barrier.
+	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
+	engine := sim.NewEngine(clock)
+	engine.SetParallelism(*parallelism)
+	log := audit.New(audit.WithClock(clock.Now))
+	busOpts := []network.BusOption{network.WithEngine(engine), network.WithMetrics(registry)}
 	if sat := sc.Saturation; sat != nil {
-		intake, err = admission.New(admission.Config{
+		intake, err := admission.New(admission.Config{
 			QueueCapacity: sat.QueueCapacity,
 			Rate:          sat.Rate,
 			Burst:         sat.Burst,
@@ -376,12 +304,19 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		bus = network.NewBus(nil,
-			network.WithEngine(engine),
-			network.WithMetrics(registry),
-			network.WithAdmission(intake))
+		busOpts = append(busOpts, network.WithAdmission(intake))
 	}
-	collective, err := core.New(coreCfg)
+	bus := network.NewBus(rand.New(rand.NewSource(sc.Seed)), busOpts...)
+	collective, err := core.New(core.Config{
+		Name:            sc.Name,
+		Audit:           log,
+		Bus:             bus,
+		KillSecret:      []byte("skynetsim-" + sc.Name),
+		Classifier:      classifier,
+		DenialThreshold: sc.DenialThreshold,
+		Telemetry:       registry,
+		Tracer:          tracer,
+	})
 	if err != nil {
 		return err
 	}
@@ -397,47 +332,87 @@ func run(args []string, out io.Writer) error {
 			Tracer:     tracer,
 		})
 	}
-
 	specByID := make(map[string]deviceSpec, len(sc.Devices))
 	if err := buildFleet(sc, schema, collective, guardFor, log, registry, tracer, specByID); err != nil {
 		return err
 	}
 
-	// The bundle distribution phase runs before the event stream so the
-	// fleet acts on distributor-activated policies, not per-device
-	// sources.
-	var bundleResult *bundleSummary
+	// The bundle phase runs first, so the fleet acts on
+	// distributor-activated policies, not per-device sources.
+	var (
+		dist     *core.Distributor
+		rejected int64
+	)
 	if sc.Bundle != nil {
-		bundleResult, err = runBundlePhase(sc, collective, bus, registry, out)
-		if err != nil {
+		if dist, rejected, err = runBundlePhase(sc, collective, engine, bus, registry, out); err != nil {
 			return err
 		}
 	}
 
-	executed, denied := 0, 0
-	sendFailures, recoveries := 0, 0
-	if sc.Saturation != nil {
-		executed, denied, sendFailures, err = runSaturationEvents(sc, collective, engine, clock, bus, out)
-		if err != nil {
-			return err
+	// The event stream sees the chaos block's faults, not the bundle
+	// block's. Under a chaos block it sends through the resilience
+	// stack, and each step's second barrier checkpoints every active
+	// device, so a crash is recoverable, then applies the scripted crash
+	// or restart, reporting whether a device was recovered.
+	send := bus.Send
+	var (
+		sender    *network.ReliableSender
+		chaosStep func(s int) bool
+	)
+	if ch := sc.Chaos; ch != nil {
+		bus.SetLoss(ch.Loss)
+		bus.SetDuplication(ch.Duplication)
+		sender = &network.ReliableSender{
+			Bus:      bus,
+			Retry:    resilience.Retry{MaxAttempts: ch.MaxAttempts},
+			Breakers: &resilience.BreakerSet{Threshold: 3, Cooldown: time.Minute, Now: clock.Now},
+			Metrics:  registry,
 		}
-	} else if engine != nil {
-		executed, denied, err = runShardedEvents(sc, collective, engine, clock, out)
-		if err != nil {
-			return err
+		send = sender.Send
+		chaosStep = func(s int) bool {
+			for _, d := range collective.Devices() {
+				if !d.Deactivated() {
+					// A failed checkpoint leaves the device's previous one
+					// in place; a restart that finds none reports it.
+					_, _ = resilience.Checkpoint(log, d)
+				}
+			}
+			if ch.CrashDevice != "" && s == ch.CrashAtStep && collective.RemoveDevice(ch.CrashDevice) {
+				fmt.Fprintf(out, "step %d: chaos crashed %s\n", s, ch.CrashDevice)
+			}
+			if ch.CrashDevice == "" || ch.RestartAtStep <= 0 || s != ch.RestartAtStep {
+				return false
+			}
+			spec := specByID[ch.CrashDevice]
+			d, err := resilience.Recover(log, ch.CrashDevice, device.Config{
+				Type:         spec.Type,
+				Organization: spec.Org,
+				Guard:        guardFor(spec),
+				KillSwitch:   collective.KillSwitch(),
+				Audit:        log,
+				Telemetry:    registry,
+				Tracer:       tracer,
+			})
+			if err != nil {
+				fmt.Fprintf(out, "step %d: recovery failed: %v\n", s, err)
+				return false
+			}
+			if err := collective.AddDevice(d, nil); err != nil {
+				fmt.Fprintf(out, "step %d: readmission failed: %v\n", s, err)
+				return false
+			}
+			fmt.Fprintf(out, "step %d: chaos recovered %s from checkpoint (state=%s)\n", s, d.ID(), d.CurrentState())
+			return true
 		}
-	} else {
-		executed, denied, sendFailures, recoveries = runSerialEvents(
-			sc, collective, specByID, guardFor, log, tracer, registry, sender, out)
 	}
-	if sc.Chaos != nil {
-		executed = len(log.ByKind(audit.KindAction))
-		denied = len(log.ByKind(audit.KindDenial))
+	sendFailures, recoveries, err := runEvents(sc, engine, collective, tracer, send, chaosStep, out)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "scenario %q complete\n", sc.Name)
-	fmt.Fprintf(out, "  actions executed: %d\n", executed)
-	fmt.Fprintf(out, "  actions denied:   %d\n", denied)
+	fmt.Fprintf(out, "  actions executed: %d\n", log.CountKind(audit.KindAction))
+	fmt.Fprintf(out, "  actions denied:   %d\n", log.CountKind(audit.KindDenial))
 	fmt.Fprintf(out, "  active devices:   %d/%d\n", collective.ActiveCount(), len(collective.Devices()))
 	for _, d := range collective.Devices() {
 		status := "active"
@@ -461,24 +436,26 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  saturation: sent=%d delivered=%d shed=%d dropped=%d pending=%d (conservation exact)\n",
 			bus.Sent(), delivered, bus.Shed(), dropped, bus.PendingAdmitted())
 	}
-	if sc.Bundle != nil {
-		r := bundleResult
+	if dist != nil {
 		fmt.Fprintf(out, "  bundle: revision=%d converged=%v activated{full=%d delta=%d} repairs=%d pulls=%d corrupt-rejected=%d/%d\n",
-			r.dist.RootRevision(""), r.dist.Converged(),
+			dist.RootRevision(""), dist.Converged(),
 			registry.Counter("bundle.activated", "kind", "full").Value(),
 			registry.Counter("bundle.activated", "kind", "delta").Value(),
 			registry.Counter("bundle.repairs").Value(),
 			registry.Counter("bundle.pulls").Value(),
-			r.corruptRejected, r.corruptDelivered)
-		if err := r.dist.RootLedger("").Verify(); err != nil {
+			rejected, sc.Bundle.CorruptPushes)
+		ledger := dist.RootLedger("")
+		if err := ledger.Verify(); err != nil {
 			return fmt.Errorf("activation ledger broken: %w", err)
 		}
-		fmt.Fprintf(out, "  bundle ledger: %d entries, chain verified\n", r.dist.RootLedger("").Len())
+		_, tip := ledger.EntriesSince(ledger.Len())
+		fmt.Fprintf(out, "  bundle ledger: %d entries, chain verified, tip %s\n", ledger.Len(), tip)
 	}
 	if err := log.Verify(); err != nil {
 		return fmt.Errorf("audit chain broken: %w", err)
 	}
-	fmt.Fprintf(out, "  audit: %d entries, chain verified\n", log.Len())
+	_, tip := log.EntriesSince(log.Len())
+	fmt.Fprintf(out, "  audit: %d entries, chain verified, tip %s\n", log.Len(), tip)
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -501,171 +478,24 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runShardedEvents runs the scenario's event stream on the engine:
-// step s fires at s virtual seconds, each target's delivery is an
-// event sharded by device ID (so the fleet fans out across the worker
-// pool with per-device ordering intact), and the periodic watchdog
-// sweep is an unkeyed barrier sequenced after the step's deliveries.
-// Tallies are atomics — commutative, hence identical at any worker
-// count — and audit appends merge through the delivery lanes in
-// deterministic (time, seq) order.
-func runShardedEvents(sc scenario, collective *core.Collective, engine *sim.Engine,
-	clock *sim.Clock, out io.Writer) (executed, denied int, err error) {
-	var execN, denyN atomic.Int64
+// runEvents plays the event stream on the engine. Step s is a serial
+// barrier at s virtual seconds from now: it opens one scenario.command
+// root span, injects it into the event and sends the event to every
+// target, reporting each failed send. A second barrier, queued after the
+// deliveries those sends scheduled, runs chaosStep (when set) and sweeps
+// the watchdog. It returns the failed sends and the recoveries.
+func runEvents(sc scenario, engine *sim.Engine, collective *core.Collective, tracer *telemetry.Tracer,
+	send func(network.Message) error, chaosStep func(s int) bool, out io.Writer) (failures, recoveries int, err error) {
 	step := 0
 	for _, ev := range sc.Events {
-		repeat := ev.Repeat
-		if repeat <= 0 {
-			repeat = 1
-		}
-		for r := 0; r < repeat; r++ {
+		for r := 0; r < max(ev.Repeat, 1); r++ {
 			step++
-			at := time.Duration(step) * time.Second
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			targets := []string{ev.Target}
-			if ev.Target == "*" || ev.Target == "" {
-				targets = targets[:0]
-				for _, d := range collective.Devices() {
-					targets = append(targets, d.ID())
-				}
-			}
-			for _, id := range targets {
-				id := id
-				engine.ScheduleShard(at, id, func(lane *sim.Lane) {
-					execs, err := collective.DeliverWith(id, event, lane)
-					if err != nil {
-						return // removed or deactivated devices do not act
-					}
-					for _, e := range execs {
-						if e.Executed() {
-							execN.Add(1)
-						} else if !e.Verdict.Allowed() {
-							denyN.Add(1)
-						}
-					}
-				})
-			}
-			if step%sc.SweepEvery == 0 {
-				s := step
-				engine.Schedule(at, func() {
-					if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-						fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
-					}
-				})
-			}
-		}
-	}
-	if err := engine.Run(clock.Now().Add(time.Duration(step+1) * time.Second)); err != nil {
-		return 0, 0, err
-	}
-	return int(execN.Load()), int(denyN.Load()), nil
-}
-
-// runSaturationEvents runs the event stream through the
-// admission-bounded bus: step s fires at s virtual seconds as a
-// barrier event whose sends are admitted, shed with a typed cause, or
-// queued; queues drain in engine events sharded per device, so the
-// run is deterministic at any --parallelism. A shed send counts as a
-// send failure in the summary — the conservation line reports the
-// exact books.
-func runSaturationEvents(sc scenario, collective *core.Collective, engine *sim.Engine,
-	clock *sim.Clock, bus *network.Bus, out io.Writer) (executed, denied, shed int, err error) {
-	var execN, denyN, shedN atomic.Int64
-	for _, d := range collective.Devices() {
-		id := d.ID()
-		if err := bus.AttachLane(id, func(msg network.Message, lane *sim.Lane) {
-			ev, ok := msg.Payload.(policy.Event)
-			if !ok {
-				return
-			}
-			execs, err := collective.DeliverWith(id, ev, lane)
-			if err != nil {
-				return // removed or deactivated devices do not act
-			}
-			for _, e := range execs {
-				if e.Executed() {
-					execN.Add(1)
-				} else if !e.Verdict.Allowed() {
-					denyN.Add(1)
-				}
-			}
-		}); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	step := 0
-	for _, ev := range sc.Events {
-		repeat := ev.Repeat
-		if repeat <= 0 {
-			repeat = 1
-		}
-		for r := 0; r < repeat; r++ {
-			step++
-			at := time.Duration(step) * time.Second
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			targets := []string{ev.Target}
-			if ev.Target == "*" || ev.Target == "" {
-				targets = targets[:0]
-				for _, d := range collective.Devices() {
-					targets = append(targets, d.ID())
-				}
-			}
-			targets = append([]string(nil), targets...)
 			s := step
-			// The step is a barrier: sends happen serially, so admission
-			// decisions (and any future fault sampling) are ordered.
-			engine.Schedule(at, func() {
-				for _, id := range targets {
-					if err := bus.Send(network.Message{
-						From: "scenario", To: id, Topic: "command", Payload: event,
-					}); err != nil {
-						shedN.Add(1)
-						fmt.Fprintf(out, "step %d: %s: %v\n", s, id, err)
-					}
-				}
-			})
-			if step%sc.SweepEvery == 0 {
-				engine.Schedule(at, func() {
-					if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-						fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
-					}
-				})
-			}
-		}
-	}
-	// Two extra virtual seconds give the drain events room to empty the
-	// intake queues before the books are checked.
-	if err := engine.Run(clock.Now().Add(time.Duration(step+2) * time.Second)); err != nil {
-		return 0, 0, 0, err
-	}
-	return int(execN.Load()), int(denyN.Load()), int(shedN.Load()), nil
-}
-
-// runSerialEvents is the original synchronous event loop: direct (or
-// chaos-bus) delivery step by step, with checkpointing, scripted
-// crash/restart and inline watchdog sweeps.
-func runSerialEvents(sc scenario, collective *core.Collective, specByID map[string]deviceSpec,
-	guardFor func(deviceSpec) guard.Guard, log *audit.Log, tracer *telemetry.Tracer,
-	registry *telemetry.Registry, sender *network.ReliableSender,
-	out io.Writer) (executed, denied, sendFailures, recoveries int) {
-	step := 0
-	for _, ev := range sc.Events {
-		repeat := ev.Repeat
-		if repeat <= 0 {
-			repeat = 1
-		}
-		for r := 0; r < repeat; r++ {
-			step++
-			event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs}
-			if sc.Chaos != nil {
-				// Chaos path: per-device bus deliveries through retries
-				// and breakers; execution counts come from the audit
-				// trail afterwards. Each scenario event opens one root
-				// span so every delivery — including retried and
-				// duplicated ones — stays in one trace.
+			engine.Schedule(time.Duration(s)*time.Second, func() {
 				span := tracer.StartSpan("scenario.command", "scenario", telemetry.SpanContext{})
 				span.SetAttr("event", ev.Type)
-				event.Labels = telemetry.Inject(span.Context(), event.Labels)
+				event := policy.Event{Type: ev.Type, Source: "scenario", Attrs: ev.Attrs,
+					Labels: telemetry.Inject(span.Context(), nil)}
 				targets := []string{ev.Target}
 				if ev.Target == "*" || ev.Target == "" {
 					targets = targets[:0]
@@ -674,96 +504,48 @@ func runSerialEvents(sc scenario, collective *core.Collective, specByID map[stri
 					}
 				}
 				for _, id := range targets {
-					if err := sender.Send(network.Message{
-						From: "scenario", To: id, Topic: "command", Payload: event,
-					}); err != nil {
-						sendFailures++
+					if err := send(network.Message{From: "scenario", To: id, Topic: "command", Payload: event}); err != nil {
+						failures++
+						fmt.Fprintf(out, "step %d: %s: %v\n", s, id, err)
 					}
 				}
 				span.Finish()
-			} else {
-				var results map[string][]device.Execution
-				if ev.Target == "*" || ev.Target == "" {
-					results = collective.Command(event)
-				} else {
-					execs, err := collective.Deliver(ev.Target, event)
-					if err != nil {
-						fmt.Fprintf(out, "step %d: %v\n", step, err)
-						continue
+				engine.Schedule(0, func() {
+					if chaosStep != nil && chaosStep(s) {
+						recoveries++
 					}
-					results = map[string][]device.Execution{ev.Target: execs}
-				}
-				for _, execs := range results {
-					for _, e := range execs {
-						if e.Executed() {
-							executed++
-						} else if !e.Verdict.Allowed() {
-							denied++
+					if s%sc.SweepEvery == 0 {
+						if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
+							fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", s, deactivated)
 						}
 					}
-				}
-			}
-			if sc.Chaos != nil {
-				// Checkpoint active devices so a crash is recoverable,
-				// then apply the scripted crash/restart.
-				for _, d := range collective.Devices() {
-					if !d.Deactivated() {
-						_, _ = resilience.Checkpoint(log, d)
-					}
-				}
-				if sc.Chaos.CrashDevice != "" && step == sc.Chaos.CrashAtStep {
-					if collective.RemoveDevice(sc.Chaos.CrashDevice) {
-						fmt.Fprintf(out, "step %d: chaos crashed %s\n", step, sc.Chaos.CrashDevice)
-					}
-				}
-				if sc.Chaos.CrashDevice != "" && sc.Chaos.RestartAtStep > 0 && step == sc.Chaos.RestartAtStep {
-					spec := specByID[sc.Chaos.CrashDevice]
-					d, err := resilience.Recover(log, sc.Chaos.CrashDevice, device.Config{
-						Type:         spec.Type,
-						Organization: spec.Org,
-						Guard:        guardFor(spec),
-						KillSwitch:   collective.KillSwitch(),
-						Audit:        log,
-						Telemetry:    registry,
-						Tracer:       tracer,
-					})
-					if err != nil {
-						fmt.Fprintf(out, "step %d: recovery failed: %v\n", step, err)
-					} else if err := collective.AddDevice(d, nil); err != nil {
-						fmt.Fprintf(out, "step %d: readmission failed: %v\n", step, err)
-					} else {
-						recoveries++
-						fmt.Fprintf(out, "step %d: chaos recovered %s from checkpoint (state=%s)\n",
-							step, d.ID(), d.CurrentState())
-					}
-				}
-			}
-			if step%sc.SweepEvery == 0 {
-				if deactivated, _ := collective.SweepWatchdog(); len(deactivated) > 0 {
-					fmt.Fprintf(out, "step %d: watchdog deactivated %v\n", step, deactivated)
-				}
-			}
+				})
+			})
 		}
 	}
-	return executed, denied, sendFailures, recoveries
+	// Two extra virtual seconds give admission drains room to empty the
+	// intake queues before the books are checked.
+	err = engine.Run(engine.Clock().Now().Add(time.Duration(step+2) * time.Second))
+	return failures, recoveries, err
 }
 
-// bundleSummary carries the distribution phase's books into the run
-// summary.
-type bundleSummary struct {
-	dist             *core.Distributor
-	corruptDelivered int64
-	corruptRejected  int64
+// barrier runs fn as a serial barrier one virtual second from now, then
+// runs the engine up to that instant, so everything fn sets off there —
+// deliveries, acks, repairs — lands before the caller reads the books.
+func barrier(engine *sim.Engine, fn func()) error {
+	engine.Schedule(time.Second, fn)
+	return engine.Run(engine.Clock().Now().Add(time.Second))
 }
 
 // runBundlePhase distributes the scenario's policy revisions as signed
-// bundles: every device enrolls with a distributor sharing one HMAC
-// key, each revision is published and repaired to convergence over the
-// (possibly lossy) bus, and the scripted tampered pushes afterwards
-// must all be refused fail-closed with every device still on the
-// published revision.
-func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
-	registry *telemetry.Registry, out io.Writer) (*bundleSummary, error) {
+// bundles at the bundle block's loss: every device enrolls with a
+// distributor sharing one HMAC key, each revision is published in a
+// barrier and repaired to convergence with one sweep per virtual
+// second, and every scripted tampered push afterwards must be refused
+// fail-closed with every device still on the published revision. It
+// returns the distributor and how many tampered pushes were refused.
+func runBundlePhase(sc scenario, collective *core.Collective, engine *sim.Engine, bus *network.Bus,
+	registry *telemetry.Registry, out io.Writer) (*core.Distributor, int64, error) {
 	spec := sc.Bundle
 	maxSweeps := spec.MaxSweeps
 	if maxSweeps <= 0 {
@@ -772,35 +554,44 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 	key := bundle.HMACKey{ID: "skynetsim", Secret: []byte("skynetsim-bundle-" + sc.Name)}
 	dist, err := core.NewDistributor(core.DistributorConfig{
 		Collective: collective, Roots: []core.RootConfig{{Signer: key}}, Telemetry: registry,
+		Clock: engine.Clock().Now, Engine: engine,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	devices := collective.Devices()
 	if len(devices) == 0 {
-		return nil, fmt.Errorf("bundle: no devices to enroll")
+		return nil, 0, fmt.Errorf("bundle: no devices to enroll")
 	}
 	for _, d := range devices {
 		if err := dist.EnrollRoots(d.ID(), key, ""); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
+	bus.SetLoss(spec.Loss)
+	defer bus.SetLoss(0)
 	for i, src := range spec.Revisions {
 		pols, err := policylang.CompileSource(src, policy.OriginHuman)
 		if err != nil {
-			return nil, fmt.Errorf("bundle revision %d: %w", i+1, err)
+			return nil, 0, fmt.Errorf("bundle revision %d: %w", i+1, err)
 		}
-		rev, err := dist.PublishRoot("", pols)
-		if err != nil {
-			return nil, fmt.Errorf("bundle revision %d: %w", i+1, err)
+		var rev uint64
+		var perr error
+		if err := barrier(engine, func() { rev, perr = dist.PublishRoot("", pols) }); err != nil {
+			return nil, 0, err
+		}
+		if perr != nil {
+			return nil, 0, fmt.Errorf("bundle revision %d: %w", i+1, perr)
 		}
 		sweeps := 0
 		for !dist.Converged() && sweeps < maxSweeps {
-			dist.RepairSweep()
+			if err := barrier(engine, func() { dist.RepairSweep() }); err != nil {
+				return nil, 0, err
+			}
 			sweeps++
 		}
 		if !dist.Converged() {
-			return nil, fmt.Errorf("bundle revision %d: fleet not converged after %d repair sweeps; lagging %v",
+			return nil, 0, fmt.Errorf("bundle revision %d: fleet not converged after %d repair sweeps; lagging %v",
 				rev, sweeps, dist.LaggingRoot(""))
 		}
 		fmt.Fprintf(out, "bundle revision %d: %d policies converged after %d repair sweeps\n",
@@ -808,63 +599,72 @@ func runBundlePhase(sc scenario, collective *core.Collective, bus *network.Bus,
 	}
 
 	// Tampered pushes alternate a rogue-signed full bundle with
-	// structural garbage. Each is retried past the loss until the bus
-	// actually delivers it, so the fail-closed books are exact: every
-	// delivered corruption must be rejected, and no device may move.
+	// structural garbage. A push the bus loses or admission sheds is
+	// retried one virtual second later until it is delivered, so the
+	// fail-closed books are exact: every corruption must be rejected,
+	// and no device may move.
 	rejected := func() int64 {
 		return registry.Counter("bundle.rejected", "cause", "signature").Value() +
 			registry.Counter("bundle.rejected", "cause", "decode").Value()
 	}
 	before := rejected()
-	var delivered int64
 	if spec.CorruptPushes > 0 {
 		rogue := bundle.NewPublisher(bundle.HMACKey{ID: "rogue", Secret: []byte("rogue")})
 		pols, err := policylang.CompileSource(
 			"policy hijack priority 9:\n    on tick\n    do exfiltrate target all category surveillance\n",
 			policy.OriginHuman)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		full, _, err := rogue.Publish(pols)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		rogueWire, err := bundle.Encode(full)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for i := 0; i < spec.CorruptPushes; i++ {
 			payload := rogueWire
 			if i%2 == 1 {
 				payload = []byte("!! not a bundle !!")
 			}
-			target := devices[i%len(devices)].ID()
+			msg := network.Message{
+				From: "attacker", To: devices[i%len(devices)].ID(), Topic: core.TopicBundle, Payload: payload,
+			}
 			for attempt := 0; ; attempt++ {
-				err := bus.Send(network.Message{
-					From: "attacker", To: target, Topic: core.TopicBundle, Payload: payload,
-				})
-				if err == nil {
-					delivered++
+				var serr error
+				if err := barrier(engine, func() { serr = bus.Send(msg) }); err != nil {
+					return nil, 0, err
+				}
+				if serr == nil {
 					break
 				}
-				if !errors.Is(err, network.ErrDropped) || attempt >= 10000 {
-					return nil, fmt.Errorf("bundle: corrupt push %d undeliverable: %w", i, err)
+				undelivered := errors.Is(serr, network.ErrDropped) || admission.CauseOf(serr) != ""
+				if !undelivered || attempt >= 10000 {
+					return nil, 0, fmt.Errorf("bundle: corrupt push %d undeliverable: %w", i, serr)
 				}
 			}
 		}
+		// Admitted pushes may still wait in an intake queue.
+		for engine.Pending() > 0 {
+			if err := barrier(engine, func() {}); err != nil {
+				return nil, 0, err
+			}
+		}
 	}
-	summary := &bundleSummary{dist: dist, corruptDelivered: delivered, corruptRejected: rejected() - before}
-	if summary.corruptRejected != delivered {
-		return nil, fmt.Errorf("bundle: fail-closed violated: %d corrupt pushes delivered, only %d rejected",
-			delivered, summary.corruptRejected)
+	refused := rejected() - before
+	if refused != int64(spec.CorruptPushes) {
+		return nil, 0, fmt.Errorf("bundle: fail-closed violated: %d corrupt pushes delivered, only %d rejected",
+			spec.CorruptPushes, refused)
 	}
 	for _, d := range devices {
 		if got := d.Policies().Revision(); got != dist.RootRevision("") {
-			return nil, fmt.Errorf("bundle: %s at revision %d after corrupt pushes, want %d",
+			return nil, 0, fmt.Errorf("bundle: %s at revision %d after corrupt pushes, want %d",
 				d.ID(), got, dist.RootRevision(""))
 		}
 	}
-	return summary, nil
+	return dist, refused, nil
 }
 
 // buildFleet constructs the scenario's devices — initial state, guard

@@ -60,13 +60,26 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{badPolicy}, os.Stdout); err == nil {
 		t.Error("bad policy DSL accepted")
 	}
-	badTarget := writeScenario(t, `{"name":"x","devices":[{"id":"d"}],"events":[{"type":"e","target":"ghost"}]}`)
-	var sb strings.Builder
-	if err := run([]string{badTarget}, &sb); err != nil {
-		t.Fatalf("run: %v", err)
+	trailing := writeScenario(t, `{"name":"x","devices":[{"id":"d"}]} {"name":"y"}`)
+	if err := run([]string{trailing}, os.Stdout); err == nil {
+		t.Error("trailing data after the scenario accepted")
 	}
-	if !strings.Contains(sb.String(), "unknown device") {
-		t.Errorf("unknown target not reported:\n%s", sb.String())
+	misspelled := writeScenario(t, `{"name":"x","sweepEvry":2,"devices":[{"id":"d"}]}`)
+	if err := run([]string{misspelled}, os.Stdout); err == nil ||
+		!strings.Contains(err.Error(), "sweepEvry") {
+		t.Errorf("misspelled field accepted (err=%v)", err)
+	}
+	// A send to an unknown target fails on the bus and is reported at
+	// every worker count.
+	badTarget := writeScenario(t, `{"name":"x","devices":[{"id":"d"}],"events":[{"type":"e","target":"ghost"}]}`)
+	for _, workers := range []string{"1", "2"} {
+		var sb strings.Builder
+		if err := run([]string{"--parallelism", workers, badTarget}, &sb); err != nil {
+			t.Fatalf("run --parallelism %s: %v", workers, err)
+		}
+		if !strings.Contains(sb.String(), `step 1: ghost: network: unknown node: "ghost"`) {
+			t.Errorf("unknown target not reported at %s workers:\n%s", workers, sb.String())
+		}
 	}
 }
 
@@ -121,7 +134,7 @@ func TestRunCustomSchemaErrors(t *testing.T) {
 }
 
 func TestRunParallelScenario(t *testing.T) {
-	const scenario = `{
+	path := writeScenario(t, `{
 		"name": "fleet",
 		"badHeatAt": 80,
 		"denialThreshold": 3,
@@ -136,62 +149,37 @@ func TestRunParallelScenario(t *testing.T) {
 			 "policies": "policy work: on tick do run category work effect heat += 15"}
 		],
 		"events": [{"type": "tick", "target": "*", "repeat": 8}]
-	}`
-	path := writeScenario(t, scenario)
+	}`)
 
-	// Serial engine run and parallel runs must print the same summary:
-	// same executed/denied tallies, same fleet state, verified chain.
-	summaries := make(map[string]string)
+	// The serial engine and the parallel runs must print the same
+	// output, journal tip included.
+	serial := runAt(t, "1", path)
 	for _, workers := range []string{"2", "4"} {
-		var sb strings.Builder
-		if err := run([]string{"--parallelism", workers, path}, &sb); err != nil {
-			t.Fatalf("run --parallelism %s: %v", workers, err)
+		if got := runAt(t, workers, path); got != serial {
+			t.Errorf("output diverges at %s workers:\n-- 1 worker --\n%s\n-- %s workers --\n%s",
+				workers, serial, workers, got)
 		}
-		summaries[workers] = sb.String()
 	}
-	if summaries["2"] != summaries["4"] {
-		t.Errorf("parallel summaries diverge:\n-- 2 workers --\n%s\n-- 4 workers --\n%s",
-			summaries["2"], summaries["4"])
-	}
-	out := summaries["2"]
 	for _, want := range []string{
 		"watchdog deactivated [d3 d4]",
-		"chain verified",
+		"chain verified, tip ",
 		"actions denied",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-
-	// The direct serial path must agree on the tallies and fleet state
-	// (audit entry count differs only in that both paths verify).
-	var serial strings.Builder
-	if err := run([]string{path}, &serial); err != nil {
-		t.Fatalf("run serial: %v", err)
-	}
-	for _, line := range strings.Split(serial.String(), "\n") {
-		if strings.Contains(line, "actions executed") ||
-			strings.Contains(line, "actions denied") ||
-			strings.Contains(line, "state=") {
-			if !strings.Contains(out, line) {
-				t.Errorf("parallel run diverges from serial on %q:\n%s", line, out)
-			}
+		if !strings.Contains(serial, want) {
+			t.Errorf("missing %q:\n%s", want, serial)
 		}
 	}
 }
 
-func TestRunParallelRejectsChaos(t *testing.T) {
-	path := writeScenario(t, `{
-		"name": "x",
-		"devices": [{"id": "d"}],
-		"events": [{"type": "tick", "target": "d"}],
-		"chaos": {"loss": 0.5}
-	}`)
-	err := run([]string{"--parallelism", "4", path}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "chaos") {
-		t.Errorf("chaos + parallelism accepted (err=%v)", err)
+// runAt runs the scenario at the given worker count and returns its
+// output.
+func runAt(t *testing.T, workers, path string) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := run([]string{"--parallelism", workers, path}, &sb); err != nil {
+		t.Fatalf("run --parallelism %s: %v", workers, err)
 	}
+	return sb.String()
 }
 
 func TestRunBundleScenario(t *testing.T) {
@@ -233,24 +221,122 @@ func TestRunBundleScenario(t *testing.T) {
 	}
 }
 
+// runSameAtAnyWorkers runs the scenario at 1, 2 and 4 workers and
+// fails unless every run succeeds with byte-identical output, which it
+// returns.
+func runSameAtAnyWorkers(t *testing.T, path string) string {
+	t.Helper()
+	want := runAt(t, "1", path)
+	for _, workers := range []string{"2", "4"} {
+		if got := runAt(t, workers, path); got != want {
+			t.Fatalf("output diverges at %s workers:\n-- 1 worker --\n%s\n-- %s workers --\n%s",
+				workers, want, workers, got)
+		}
+	}
+	return want
+}
+
+// TestRunParallelRejectsChaos keeps its name from when a chaos block
+// at --parallelism > 1 was refused. The pairing now runs on the one
+// engine path, and must print what the serial engine prints.
+func TestRunParallelRejectsChaos(t *testing.T) {
+	path := writeScenario(t, `{
+		"name": "x",
+		"devices": [{"id": "d"}],
+		"events": [{"type": "tick", "target": "d"}],
+		"chaos": {"loss": 0.5}
+	}`)
+	if out := runSameAtAnyWorkers(t, path); !strings.Contains(out, "chaos: delivered=") {
+		t.Errorf("missing chaos summary:\n%s", out)
+	}
+}
+
+// TestRunBundleIncompatibilities keeps its name from when a bundle
+// block was refused beside a chaos or saturation block, and at
+// --parallelism > 1. Each of those pairings now runs, and must print
+// the same at any worker count.
 func TestRunBundleIncompatibilities(t *testing.T) {
-	withChaos := writeScenario(t, `{"name":"x","devices":[{"id":"d"}],
-		"bundle":{"revisions":[]},"chaos":{"loss":0.5}}`)
-	if err := run([]string{withChaos}, os.Stdout); err == nil ||
-		!strings.Contains(err.Error(), "bundle") {
-		t.Errorf("bundle + chaos accepted (err=%v)", err)
+	for _, tc := range []struct{ name, scenario, want string }{
+		{"chaos", `{"name":"x","devices":[{"id":"d"}],
+			"bundle":{"revisions":[]},"chaos":{"loss":0.5}}`, "chaos: delivered="},
+		{"saturation", `{"name":"x","devices":[{"id":"d"}],
+			"bundle":{"revisions":[]},"saturation":{"queueCapacity":2}}`, "(conservation exact)"},
+		{"alone", `{"name":"x","devices":[{"id":"d"}],
+			"bundle":{"revisions":[]}}`, "bundle ledger: "},
+	} {
+		out := runSameAtAnyWorkers(t, writeScenario(t, tc.scenario))
+		for _, want := range []string{tc.want, "bundle ledger: "} {
+			if !strings.Contains(out, want) {
+				t.Errorf("bundle + %s: missing %q:\n%s", tc.name, want, out)
+			}
+		}
 	}
-	withSaturation := writeScenario(t, `{"name":"x","devices":[{"id":"d"}],
-		"bundle":{"revisions":[]},"saturation":{"queueCapacity":2}}`)
-	if err := run([]string{withSaturation}, os.Stdout); err == nil ||
-		!strings.Contains(err.Error(), "bundle") {
-		t.Errorf("bundle + saturation accepted (err=%v)", err)
+}
+
+// TestRunBlockCombinations runs every subset of the chaos, saturation
+// and bundle blocks on one fleet at 1, 2 and 4 workers, twice over, and
+// requires byte-identical output each time, journal and ledger tips
+// included.
+func TestRunBlockCombinations(t *testing.T) {
+	blocks := []struct{ name, json string }{
+		{"chaos", `"chaos": {"loss": 0.3, "duplication": 0.2, "maxAttempts": 4,
+			"crashDevice": "d2", "crashAtStep": 3, "restartAtStep": 6}`},
+		{"saturation", `"saturation": {"queueCapacity": 2, "rate": 0.5, "burst": 1,
+			"drainBatch": 2, "drainIntervalMs": 200}`},
+		{"bundle", `"bundle": {"loss": 0.3, "corruptPushes": 3, "revisions": [
+			"policy vent priority 2:\n    on tick\n    when heat > 70\n    do vent target fleet category work effect heat -= 10\n",
+			"policy vent priority 2:\n    on tick\n    when heat > 50\n    do vent target fleet category work effect heat -= 15\n"]}`},
 	}
-	alone := writeScenario(t, `{"name":"x","devices":[{"id":"d"}],
-		"bundle":{"revisions":[]}}`)
-	if err := run([]string{"--parallelism", "2", alone}, os.Stdout); err == nil ||
-		!strings.Contains(err.Error(), "bundle") {
-		t.Errorf("bundle + parallelism accepted (err=%v)", err)
+	const work = `"policies": "policy work: on tick do run category work effect heat += 15"`
+	for mask := 0; mask < 1<<len(blocks); mask++ {
+		var names, parts []string
+		for i, b := range blocks {
+			if mask&(1<<i) != 0 {
+				names = append(names, b.name)
+				parts = append(parts, ",\n"+b.json)
+			}
+		}
+		name := strings.Join(names, "+")
+		if name == "" {
+			name = "none"
+		}
+		t.Run(name, func(t *testing.T) {
+			path := writeScenario(t, `{
+				"name": "combo", "badHeatAt": 80, "denialThreshold": 3, "sweepEvery": 2,
+				"devices": [
+					{"id": "d1", "heat": 20, `+work+`},
+					{"id": "d2", "heat": 35, `+work+`},
+					{"id": "d3", "heat": 50, `+work+`},
+					{"id": "d4", "heat": 20, "unguarded": true, `+work+`}
+				],
+				"events": [{"type": "tick", "target": "*", "repeat": 10},
+					{"type": "tick", "target": "ghost"}]`+strings.Join(parts, "")+`
+			}`)
+			want := runAt(t, "1", path)
+			for _, workers := range []string{"2", "4", "1", "2", "4"} {
+				if got := runAt(t, workers, path); got != want {
+					t.Fatalf("output diverges at %s workers:\n-- 1 worker --\n%s\n-- %s workers --\n%s",
+						workers, want, workers, got)
+				}
+			}
+			checks := []string{`step 11: ghost: network: unknown node: "ghost"`, "chain verified, tip "}
+			for _, b := range names {
+				switch b {
+				case "chaos":
+					checks = append(checks, "chaos crashed d2", "chaos recovered d2", "recoveries=1")
+				case "saturation":
+					checks = append(checks, "admission: rate limited", "(conservation exact)")
+				case "bundle":
+					checks = append(checks, "bundle: revision=2 converged=true", "corrupt-rejected=3/3",
+						"bundle ledger: ")
+				}
+			}
+			for _, c := range checks {
+				if !strings.Contains(want, c) {
+					t.Errorf("missing %q:\n%s", c, want)
+				}
+			}
+		})
 	}
 }
 

@@ -28,8 +28,8 @@ func horizonOf(e *sim.Engine, d time.Duration) time.Time {
 
 func TestLossWindow(t *testing.T) {
 	inj, engine, bus, metrics := newHarness(t)
-	if err := bus.Attach("a", func(network.Message) {}); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := bus.AttachLane("a", func(network.Message, *sim.Lane) {}); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	Loss{Prob: 1, At: 10 * time.Second, For: 10 * time.Second}.Inject(inj)
 
@@ -57,8 +57,8 @@ func TestLossWindow(t *testing.T) {
 func TestPartitionWindow(t *testing.T) {
 	inj, engine, bus, _ := newHarness(t)
 	for _, id := range []string{"a", "b"} {
-		if err := bus.Attach(id, func(network.Message) {}); err != nil {
-			t.Fatalf("Attach: %v", err)
+		if err := bus.AttachLane(id, func(network.Message, *sim.Lane) {}); err != nil {
+			t.Fatalf("AttachLane: %v", err)
 		}
 	}
 	Partition{Groups: map[string]int{"a": 0, "b": 1}, At: 10 * time.Second, For: 10 * time.Second}.Inject(inj)
@@ -79,8 +79,8 @@ func TestPartitionWindow(t *testing.T) {
 func TestDuplicationWindow(t *testing.T) {
 	inj, engine, bus, metrics := newHarness(t)
 	got := 0
-	if err := bus.Attach("a", func(network.Message) { got++ }); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := bus.AttachLane("a", func(network.Message, *sim.Lane) { got++ }); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	Duplication{Prob: 1, At: 0}.Inject(inj)
 	engine.Schedule(time.Second, func() {
@@ -107,8 +107,8 @@ func TestSlowLinksWindow(t *testing.T) {
 	inj, engine, bus, _ := newHarness(t)
 	start := engine.Clock().Now()
 	var deliveredAt time.Time
-	if err := bus.Attach("a", func(network.Message) { deliveredAt = engine.Clock().Now() }); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := bus.AttachLane("a", func(network.Message, *sim.Lane) { deliveredAt = engine.Clock().Now() }); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	SlowLinks{Min: 2 * time.Second, Max: 2 * time.Second, At: 0, For: time.Minute}.Inject(inj)
 	engine.Schedule(time.Second, func() {
@@ -166,8 +166,8 @@ func TestCrashRestart(t *testing.T) {
 
 func TestScheduleApplyAndNames(t *testing.T) {
 	inj, engine, bus, metrics := newHarness(t)
-	if err := bus.Attach("a", func(network.Message) {}); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := bus.AttachLane("a", func(network.Message, *sim.Lane) {}); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	s := Schedule{Name: "combo", Faults: []Fault{
 		Loss{Prob: 1, At: time.Second, For: time.Second},

@@ -219,7 +219,7 @@ func (c *Collective) AddDevice(d *device.Device, attrs map[string]float64) error
 			return fmt.Errorf("%w: %s", ErrAdmissionRefused, reason)
 		}
 	}
-	if err := c.bus.AttachLane(d.ID(), c.handlerFor(d)); err != nil {
+	if err := c.bus.AttachLane(d.ID(), c.handlerFor(d.ID())); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 
@@ -436,14 +436,15 @@ func (c *Collective) SweepWatchdog() (deactivated, failed []string) {
 }
 
 // handlerFor adapts bus messages carrying policy.Event payloads into
-// device event handling. It is a lane handler — deliveries are sharded
-// by recipient device — so it touches only the device itself, the
-// commutative watchdog tally, and the audit log via the lane.
-func (c *Collective) handlerFor(d *device.Device) network.LaneHandler {
+// DeliverWith, so a bus delivery is counted and feeds the watchdog
+// exactly like a direct one. It is a lane handler — deliveries are
+// sharded by recipient device — so it touches only the member itself,
+// commutative tallies, and the audit log via the lane.
+func (c *Collective) handlerFor(id string) network.LaneHandler {
 	return func(m network.Message, lane *sim.Lane) {
 		if strings.HasPrefix(m.Topic, "bundle") {
 			c.mu.Lock()
-			h := c.bundleHandlers[d.ID()]
+			h := c.bundleHandlers[id]
 			c.mu.Unlock()
 			if h != nil {
 				h(m, lane)
@@ -463,12 +464,10 @@ func (c *Collective) handlerFor(d *device.Device) network.LaneHandler {
 		if lane != nil {
 			j = lane
 		}
-		if execs, err := d.HandleEventWith(ev, j); err == nil {
-			for _, e := range execs {
-				if !e.Verdict.Allowed() {
-					c.watchdog.ObserveDenial(d.ID())
-				}
-			}
+		if _, err := c.DeliverWith(id, ev, j); err != nil {
+			// A deactivated or departed member refuses the event; the
+			// bus has booked the message as delivered.
+			return
 		}
 	}
 }

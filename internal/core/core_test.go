@@ -8,9 +8,11 @@ import (
 	"repro/internal/audit"
 	"repro/internal/device"
 	"repro/internal/guard"
+	"repro/internal/network"
 	"repro/internal/ontology"
 	"repro/internal/policy"
 	"repro/internal/statespace"
+	"repro/internal/telemetry"
 )
 
 func coreSchema(t *testing.T) *statespace.Schema {
@@ -164,6 +166,40 @@ func TestDeliverAndDenialFeedsWatchdog(t *testing.T) {
 	}
 	if c.ActiveCount() != 0 {
 		t.Errorf("ActiveCount = %d", c.ActiveCount())
+	}
+}
+
+// TestBusDeliveryCountedAndWatched checks that an event arriving over
+// the bus takes the same books as a direct Deliver: it counts under
+// core.deliveries and its denials feed the watchdog.
+func TestBusDeliveryCountedAndWatched(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := newCollective(t, func(cfg *Config) {
+		cfg.DenialThreshold = 2
+		cfg.Telemetry = reg
+	})
+	d := newMember(t, c, "d1", 10)
+	d.SetGuard(guard.NewPipeline(nil, denyAllGuard{}))
+	if err := d.Policies().Add(policy.Policy{
+		ID: "p", EventType: "go", Modality: policy.ModalityDo,
+		Action: policy.Action{Name: "strike"},
+	}); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if err := c.AddDevice(d, nil); err != nil {
+		t.Fatalf("AddDevice: %v", err)
+	}
+	if _, err := c.Deliver("d1", policy.Event{Type: "go"}); err != nil {
+		t.Fatalf("Deliver: %v", err)
+	}
+	if err := c.bus.Send(network.Message{From: "h", To: "d1", Topic: "command", Payload: policy.Event{Type: "go"}}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got := reg.Counter("core.deliveries").Value(); got != 2 {
+		t.Errorf("core.deliveries = %d after one direct and one bus delivery, want 2", got)
+	}
+	if deactivated, _ := c.SweepWatchdog(); len(deactivated) != 1 {
+		t.Errorf("deactivated = %v, want [d1] after two denials", deactivated)
 	}
 }
 

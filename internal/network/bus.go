@@ -38,34 +38,12 @@ type Message struct {
 	Payload any
 }
 
-// Handler consumes delivered messages.
-type Handler func(Message)
-
 // LaneHandler consumes delivered messages together with the delivery
 // event's engine lane, so ordered side effects (audit appends, future
 // schedules) stay deterministic when the engine runs in parallel. The
 // lane is nil for synchronous (engine-less) deliveries; sim.Lane's
 // methods treat a nil lane as direct, so one handler serves both modes.
 type LaneHandler func(Message, *sim.Lane)
-
-// endpoint is one attached node: exactly one of the two handler forms
-// is set. Plain handlers are delivered as serial barrier events; lane
-// handlers are delivered as events sharded by recipient ID, so an
-// engine running in parallel may deliver to different recipients
-// concurrently while each recipient's deliveries stay ordered.
-type endpoint struct {
-	h  Handler
-	lh LaneHandler
-}
-
-// call invokes the endpoint synchronously.
-func (ep endpoint) call(msg Message, lane *sim.Lane) {
-	if ep.lh != nil {
-		ep.lh(msg, lane)
-		return
-	}
-	ep.h(msg)
-}
 
 // Bus is an in-memory message bus. Delivery is synchronous when no
 // engine is attached, or scheduled with uniform random latency when
@@ -83,7 +61,7 @@ type Bus struct {
 	cDropPart   *telemetry.Counter
 	cDropOneWay *telemetry.Counter
 	cDup        *telemetry.Counter
-	nodes       map[string]endpoint
+	nodes       map[string]LaneHandler
 	partition   map[string]int
 	oneWay      map[string]map[string]bool
 	lossProb    float64
@@ -204,7 +182,7 @@ func clamp01(p float64) float64 {
 func NewBus(rng *rand.Rand, opts ...BusOption) *Bus {
 	b := &Bus{
 		rng:       rng,
-		nodes:     make(map[string]endpoint),
+		nodes:     make(map[string]LaneHandler),
 		partition: make(map[string]int),
 	}
 	for _, o := range opts {
@@ -223,7 +201,7 @@ func (b *Bus) Presize(n int) {
 	if n <= len(b.nodes) {
 		return
 	}
-	nodes := make(map[string]endpoint, n)
+	nodes := make(map[string]LaneHandler, n)
 	for k, v := range b.nodes {
 		nodes[k] = v
 	}
@@ -241,38 +219,23 @@ func (b *Bus) ensureRNGLocked() {
 	}
 }
 
-// Attach registers a node's handler under its ID. Deliveries to plain
-// handlers are scheduled as serial barrier events; use AttachLane when
-// the handler is shard-safe (touches only the recipient's own state).
-func (b *Bus) Attach(id string, h Handler) error {
-	if h == nil {
-		return errors.New("network: attach requires an id and handler")
-	}
-	return b.attach(id, endpoint{h: h})
-}
-
-// AttachLane registers a shard-safe handler: deliveries are scheduled
-// as engine events sharded by recipient ID, so a parallel engine may
-// run deliveries to different recipients concurrently. The handler must
-// confine mutable state to the recipient (plus commutative telemetry)
-// and route audit appends and re-schedules through the lane.
+// AttachLane registers a node's shard-safe handler under its ID: with
+// an engine, deliveries are scheduled as engine events sharded by
+// recipient ID, so a parallel engine may run deliveries to different
+// recipients concurrently while each recipient's deliveries stay
+// ordered. The handler must confine mutable state to the recipient
+// (plus commutative telemetry) and route audit appends and
+// re-schedules through the lane.
 func (b *Bus) AttachLane(id string, h LaneHandler) error {
-	if h == nil {
-		return errors.New("network: attach requires an id and handler")
-	}
-	return b.attach(id, endpoint{lh: h})
-}
-
-func (b *Bus) attach(id string, ep endpoint) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if id == "" {
+	if id == "" || h == nil {
 		return errors.New("network: attach requires an id and handler")
 	}
 	if _, dup := b.nodes[id]; dup {
 		return fmt.Errorf("network: node %q already attached", id)
 	}
-	b.nodes[id] = ep
+	b.nodes[id] = h
 	return nil
 }
 
@@ -397,7 +360,7 @@ func (b *Bus) SetLatency(min, max time.Duration) {
 // deterministic.
 func (b *Bus) Send(msg Message) error {
 	b.mu.Lock()
-	ep, ok := b.nodes[msg.To]
+	h, ok := b.nodes[msg.To]
 	if !ok {
 		b.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.To)
@@ -436,22 +399,22 @@ func (b *Bus) Send(msg Message) error {
 	}
 	if intake != nil {
 		b.mu.Unlock()
-		return b.sendAdmitted(msg, ep, engine, intake, latency, duplicate)
+		return b.sendAdmitted(msg, h, engine, intake, latency, duplicate)
 	}
 	b.delivered++
 	b.cDelivered.Inc()
 	b.mu.Unlock()
 
 	if engine == nil {
-		ep.call(msg, nil)
+		h(msg, nil)
 		if duplicate {
-			ep.call(msg, nil)
+			h(msg, nil)
 		}
 		return nil
 	}
-	scheduleDelivery(engine, latency, ep, msg)
+	engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { h(msg, lane) })
 	if duplicate {
-		scheduleDelivery(engine, dupLatency, ep, msg)
+		engine.ScheduleShard(dupLatency, msg.To, func(lane *sim.Lane) { h(msg, lane) })
 	}
 	return nil
 }
@@ -466,9 +429,9 @@ type admittedMsg struct {
 
 // sendAdmitted runs the admission-controlled tail of Send: the message
 // is classified by topic and admitted or shed; admitted messages drain
-// to the endpoint in priority order — synchronously without an engine,
+// to the handler in priority order — synchronously without an engine,
 // in batched drain events sharded by recipient with one.
-func (b *Bus) sendAdmitted(msg Message, ep endpoint, engine *sim.Engine,
+func (b *Bus) sendAdmitted(msg Message, h LaneHandler, engine *sim.Engine,
 	intake *admission.Controller, latency time.Duration, duplicate bool) error {
 	// Classify by string switch, not by interned ID: the admission
 	// package's BenchmarkClassifyTopic* shows an intern lookup per
@@ -498,47 +461,31 @@ func (b *Bus) sendAdmitted(msg Message, ep endpoint, engine *sim.Engine,
 			if len(items) == 0 {
 				return nil
 			}
-			b.deliverAdmitted(items, ep, nil)
+			b.deliverAdmitted(items, h, nil)
 		}
 	}
 	if intake.BeginDrain(msg.To) {
-		b.scheduleDrain(engine, latency, msg.To, ep)
+		engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { b.drainPass(msg.To, h, lane) })
 	}
 	return nil
-}
-
-// scheduleDrain queues one drain pass for the recipient: sharded by
-// recipient for lane handlers, as a serial barrier for plain ones
-// (which may touch shared state).
-func (b *Bus) scheduleDrain(engine *sim.Engine, delay time.Duration, to string, ep endpoint) {
-	if ep.lh != nil {
-		engine.ScheduleShard(delay, to, func(lane *sim.Lane) { b.drainPass(to, ep, lane) })
-		return
-	}
-	engine.Schedule(delay, func() { b.drainPass(to, ep, nil) })
 }
 
 // drainPass delivers one batch from the recipient's intake queue and
 // reschedules itself (through the lane, keeping parallel runs
 // deterministic) while messages remain.
-func (b *Bus) drainPass(to string, ep endpoint, lane *sim.Lane) {
+func (b *Bus) drainPass(to string, h LaneHandler, lane *sim.Lane) {
 	intake := b.intake
 	items := intake.Drain(to)
-	b.deliverAdmitted(items, ep, lane)
+	b.deliverAdmitted(items, h, lane)
 	if !intake.FinishDrain(to) {
 		return
 	}
-	delay := intake.DrainInterval()
-	if ep.lh != nil {
-		lane.ScheduleShard(delay, to, func(l *sim.Lane) { b.drainPass(to, ep, l) })
-		return
-	}
-	b.engine.Schedule(delay, func() { b.drainPass(to, ep, nil) })
+	lane.ScheduleShard(intake.DrainInterval(), to, func(l *sim.Lane) { b.drainPass(to, h, l) })
 }
 
-// deliverAdmitted hands drained items to the endpoint: originals move
+// deliverAdmitted hands drained items to the handler: originals move
 // from pending to delivered, duplicates count as duplicated.
-func (b *Bus) deliverAdmitted(items []admission.Item, ep endpoint, lane *sim.Lane) {
+func (b *Bus) deliverAdmitted(items []admission.Item, h LaneHandler, lane *sim.Lane) {
 	for _, it := range items {
 		am, ok := it.Payload.(admittedMsg)
 		if !ok {
@@ -557,34 +504,8 @@ func (b *Bus) deliverAdmitted(items []admission.Item, ep endpoint, lane *sim.Lan
 		} else {
 			b.cDelivered.Inc()
 		}
-		ep.call(am.msg, lane)
+		h(am.msg, lane)
 	}
-}
-
-// scheduleDelivery queues one delivery on the engine: sharded by
-// recipient for lane handlers, as a serial barrier for plain ones.
-func scheduleDelivery(engine *sim.Engine, latency time.Duration, ep endpoint, msg Message) {
-	if ep.lh != nil {
-		engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { ep.lh(msg, lane) })
-		return
-	}
-	engine.Schedule(latency, func() { ep.h(msg) })
-}
-
-// Broadcast sends the payload to every attached node except the
-// sender. It returns the number of successful (or scheduled)
-// deliveries.
-func (b *Bus) Broadcast(from, topic string, payload any) int {
-	n := 0
-	for _, id := range b.Nodes() {
-		if id == from {
-			continue
-		}
-		if err := b.Send(Message{From: from, To: id, Topic: topic, Payload: payload}); err == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats returns the delivered and dropped message counts. Every Send

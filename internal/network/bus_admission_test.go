@@ -15,7 +15,7 @@ import (
 func TestBusNilRNGFaultsStillFire(t *testing.T) {
 	bus := NewBus(nil, WithLoss(1.0))
 	delivered := 0
-	if err := bus.Attach("d", func(Message) { delivered++ }); err != nil {
+	if err := bus.AttachLane("d", func(Message, *sim.Lane) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
 	if err := bus.Send(Message{From: "a", To: "d", Topic: "t"}); !errors.Is(err, ErrDropped) {
@@ -29,7 +29,7 @@ func TestBusNilRNGFaultsStillFire(t *testing.T) {
 func TestBusNilRNGRuntimeFaultsStillFire(t *testing.T) {
 	bus := NewBus(nil) // no faults configured, rng legitimately nil
 	n := 0
-	if err := bus.Attach("d", func(Message) { n++ }); err != nil {
+	if err := bus.AttachLane("d", func(Message, *sim.Lane) { n++ }); err != nil {
 		t.Fatal(err)
 	}
 	bus.SetLoss(1.0) // fault injection must default the rng
@@ -59,7 +59,7 @@ func TestBusAdmissionSynchronousDelivery(t *testing.T) {
 	}
 	bus := NewBus(nil, WithAdmission(ctrl))
 	var got []Message
-	if err := bus.Attach("d", func(m Message) { got = append(got, m) }); err != nil {
+	if err := bus.AttachLane("d", func(m Message, _ *sim.Lane) { got = append(got, m) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := bus.Send(Message{From: "h", To: "d", Topic: "command", Payload: 1}); err != nil {

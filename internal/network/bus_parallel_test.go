@@ -86,12 +86,12 @@ func TestBusConcurrentSends(t *testing.T) {
 	b := NewBus(nil)
 	var mu sync.Mutex
 	received := 0
-	if err := b.Attach("sink", func(Message) {
+	if err := b.AttachLane("sink", func(Message, *sim.Lane) {
 		mu.Lock()
 		received++
 		mu.Unlock()
 	}); err != nil {
-		t.Fatalf("Attach: %v", err)
+		t.Fatalf("AttachLane: %v", err)
 	}
 	const senders, per = 8, 200
 	var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -24,12 +25,12 @@ func TestBusAccountingProperty(t *testing.T) {
 		count := new(int64)
 		handled.Store(id, count)
 		mu := new(sync.Mutex)
-		if err := bus.Attach(id, func(Message) {
+		if err := bus.AttachLane(id, func(Message, *sim.Lane) {
 			mu.Lock()
 			*count++
 			mu.Unlock()
 		}); err != nil {
-			t.Fatalf("Attach: %v", err)
+			t.Fatalf("AttachLane: %v", err)
 		}
 	}
 

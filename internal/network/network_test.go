@@ -12,8 +12,8 @@ import (
 func TestBusSynchronousDelivery(t *testing.T) {
 	b := NewBus(rand.New(rand.NewSource(1)))
 	var got []Message
-	if err := b.Attach("a", func(m Message) { got = append(got, m) }); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := b.AttachLane("a", func(m Message, _ *sim.Lane) { got = append(got, m) }); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	if err := b.Send(Message{From: "b", To: "a", Topic: "t", Payload: 42}); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -29,16 +29,16 @@ func TestBusSynchronousDelivery(t *testing.T) {
 
 func TestBusAttachValidation(t *testing.T) {
 	b := NewBus(nil)
-	if err := b.Attach("", func(Message) {}); err == nil {
+	if err := b.AttachLane("", func(Message, *sim.Lane) {}); err == nil {
 		t.Error("empty id attached")
 	}
-	if err := b.Attach("a", nil); err == nil {
+	if err := b.AttachLane("a", nil); err == nil {
 		t.Error("nil handler attached")
 	}
-	if err := b.Attach("a", func(Message) {}); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := b.AttachLane("a", func(Message, *sim.Lane) {}); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
-	if err := b.Attach("a", func(Message) {}); err == nil {
+	if err := b.AttachLane("a", func(Message, *sim.Lane) {}); err == nil {
 		t.Error("duplicate attached")
 	}
 	if !b.Detach("a") || b.Detach("a") {
@@ -58,8 +58,8 @@ func TestBusPartition(t *testing.T) {
 	b := NewBus(rand.New(rand.NewSource(1)))
 	delivered := 0
 	for _, id := range []string{"a", "b", "c"} {
-		if err := b.Attach(id, func(Message) { delivered++ }); err != nil {
-			t.Fatalf("Attach: %v", err)
+		if err := b.AttachLane(id, func(Message, *sim.Lane) { delivered++ }); err != nil {
+			t.Fatalf("AttachLane: %v", err)
 		}
 	}
 	b.Partition(map[string]int{"a": 0, "b": 1, "c": 0})
@@ -81,8 +81,8 @@ func TestBusPartition(t *testing.T) {
 
 func TestBusLoss(t *testing.T) {
 	b := NewBus(rand.New(rand.NewSource(2)), WithLoss(0.5))
-	if err := b.Attach("a", func(Message) {}); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := b.AttachLane("a", func(Message, *sim.Lane) {}); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	losses := 0
 	const trials = 1000
@@ -106,8 +106,8 @@ func TestBusLatencyViaEngine(t *testing.T) {
 		WithLatency(10*time.Millisecond, 20*time.Millisecond),
 	)
 	var deliveredAt time.Time
-	if err := b.Attach("a", func(Message) { deliveredAt = clock.Now() }); err != nil {
-		t.Fatalf("Attach: %v", err)
+	if err := b.AttachLane("a", func(Message, *sim.Lane) { deliveredAt = clock.Now() }); err != nil {
+		t.Fatalf("AttachLane: %v", err)
 	}
 	if err := b.Send(Message{From: "b", To: "a"}); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -121,21 +121,6 @@ func TestBusLatencyViaEngine(t *testing.T) {
 	lat := deliveredAt.Sub(start)
 	if lat < 10*time.Millisecond || lat > 20*time.Millisecond {
 		t.Errorf("latency = %v", lat)
-	}
-}
-
-func TestBusBroadcast(t *testing.T) {
-	b := NewBus(rand.New(rand.NewSource(1)))
-	counts := map[string]int{}
-	for _, id := range []string{"a", "b", "c"} {
-		id := id
-		if err := b.Attach(id, func(Message) { counts[id]++ }); err != nil {
-			t.Fatalf("Attach: %v", err)
-		}
-	}
-	n := b.Broadcast("a", "hello", nil)
-	if n != 2 || counts["a"] != 0 || counts["b"] != 1 || counts["c"] != 1 {
-		t.Errorf("broadcast n=%d counts=%v", n, counts)
 	}
 }
 

@@ -13,16 +13,17 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 func TestBridgeToBusCountsAndSurfacesErrors(t *testing.T) {
 	metrics := telemetry.NewRegistry()
 	bus := NewBus(rand.New(rand.NewSource(1)), WithMetrics(metrics))
-	if err := bus.Attach("d1", func(Message) {}); err != nil {
+	if err := bus.AttachLane("d1", func(Message, *sim.Lane) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bus.Attach("d2", func(Message) {}); err != nil {
+	if err := bus.AttachLane("d2", func(Message, *sim.Lane) {}); err != nil {
 		t.Fatal(err)
 	}
 	bus.Partition(map[string]int{"d2": 1})

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -195,12 +197,12 @@ func TestBridgeToBus(t *testing.T) {
 	bus := NewBus(rand.New(rand.NewSource(1)))
 	var mu sync.Mutex
 	var got []Message
-	if err := bus.Attach("device-1", func(m Message) {
+	if err := bus.AttachLane("device-1", func(m Message, _ *sim.Lane) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
 	}); err != nil {
-		t.Fatalf("Attach: %v", err)
+		t.Fatalf("AttachLane: %v", err)
 	}
 
 	srv, err := Serve("127.0.0.1:0", BridgeToBus(bus))
