@@ -95,13 +95,14 @@ serve-smoke:
 # discipline tests: the pinned scratch journal, routed re-entry, and
 # concurrent events and sensing on one device; the distributor's
 # lagging books under a two-worker engine; agents sharing the
-# process's compiled-record table from concurrent goroutines; and
+# process's compiled-record table from concurrent goroutines;
 # skynetsim's differentials, which run every combination of scenario
-# blocks at 1, 2 and 4 workers.
+# blocks at 1, 2 and 4 workers; and the keyed bus fault draws, from
+# sharded senders to one sink and from a two-root fan-out.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario' \
-		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./cmd/skynetsim
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario|TestBusShardedSendersDeterministic|TestDistributorTwoRootsDeterministic' \
+		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./internal/network ./cmd/skynetsim
 
 race:
 	go test -race ./...

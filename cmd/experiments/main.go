@@ -1,5 +1,5 @@
 // Command experiments runs the figure reproductions (F1–F3) and
-// constructed experiments (E1–E10) from DESIGN.md and prints their
+// constructed experiments (E1–E21) from DESIGN.md and prints their
 // tables.
 //
 // Usage:

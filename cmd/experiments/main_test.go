@@ -33,8 +33,10 @@ func TestRunSingle(t *testing.T) {
 
 func TestRunUnknown(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-run", "E999"}, &sb); err == nil {
-		t.Error("unknown experiment accepted")
+	// main prefixes the program name, so the error must not repeat it.
+	err := run([]string{"-run", "E999"}, &sb)
+	if want := `unknown experiment "E999"`; err == nil || err.Error() != want {
+		t.Errorf("run -run E999 = %v, want %s", err, want)
 	}
 	if err := run([]string{"-bogus-flag"}, &sb); err == nil {
 		t.Error("bogus flag accepted")

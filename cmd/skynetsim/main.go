@@ -282,10 +282,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The run is deterministic at any worker count because every bus
-	// send happens in a serial barrier, so the seeded faults are drawn
-	// in one order, and every traced journal entry carries the trace ID
-	// of a root span opened in a barrier.
+	// The run is deterministic at any worker count because the bus keys
+	// every fault draw by the send's position, and every traced journal
+	// entry carries the trace ID of a root span opened in a barrier.
 	clock := sim.NewClock(time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC))
 	engine := sim.NewEngine(clock)
 	engine.SetParallelism(*parallelism)
@@ -354,7 +353,7 @@ func run(args []string, out io.Writer) error {
 	// stack, and each step's second barrier checkpoints every active
 	// device, so a crash is recoverable, then applies the scripted crash
 	// or restart, reporting whether a device was recovered.
-	send := bus.Send
+	send := func(m network.Message) error { return bus.Send(nil, m) }
 	var (
 		sender    *network.ReliableSender
 		chaosStep func(s int) bool
@@ -634,7 +633,7 @@ func runBundlePhase(sc scenario, collective *core.Collective, engine *sim.Engine
 			}
 			for attempt := 0; ; attempt++ {
 				var serr error
-				if err := barrier(engine, func() { serr = bus.Send(msg) }); err != nil {
+				if err := barrier(engine, func() { serr = bus.Send(nil, msg) }); err != nil {
 					return nil, 0, err
 				}
 				if serr == nil {

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/intern"
 	"repro/internal/telemetry"
 )
 
@@ -80,33 +79,6 @@ func ClassifyTopic(topic string) Class {
 	case "command":
 		return ClassHuman
 	case "action", "guard", "oversight", "bundle":
-		return ClassGuard
-	}
-	return ClassBackground
-}
-
-// Interned IDs of the classified topics, resolved once against the
-// default table's preloaded (lock-free) prefix.
-var (
-	topicCommand   = intern.Of("command")
-	topicAction    = intern.Of("action")
-	topicGuard     = intern.Of("guard")
-	topicOversight = intern.Of("oversight")
-	topicBundle    = intern.Of("bundle")
-)
-
-// ClassifyTopicID is ClassifyTopic for a caller already holding an
-// interned topic ID: an integer switch, no string comparison. Use it
-// only when the ID is in hand — BenchmarkClassifyTopic* shows that an
-// intern lookup per classification costs more than the string switch
-// it replaces, which is why the bus classifies strings directly.
-// intern.None (an unknown topic) is background, matching
-// ClassifyTopic's default.
-func ClassifyTopicID(topic intern.ID) Class {
-	switch topic {
-	case topicCommand:
-		return ClassHuman
-	case topicAction, topicGuard, topicOversight, topicBundle:
 		return ClassGuard
 	}
 	return ClassBackground
@@ -233,8 +205,9 @@ type queue struct {
 
 // Controller is the admission front door for a set of recipients.
 // All methods are safe for concurrent use; determinism under a
-// parallel scheduler comes from callers admitting from ordered
-// (serial) contexts and draining each recipient from its own shard.
+// parallel scheduler comes from callers admitting to and draining each
+// recipient on its own shard (or from a serial context), since a
+// queue's arrival order decides what it sheds.
 type Controller struct {
 	cfg Config
 

@@ -108,3 +108,21 @@ func BenchmarkAdmissionDrain(b *testing.B) {
 		}
 	}
 }
+
+var benchTopics = []string{
+	"command", "action", "guard", "oversight", "bundle",
+	"telemetry", "gossip", "unknown-topic",
+}
+
+var sinkClass Class
+
+// BenchmarkClassifyTopicString measures the bus admission gate's
+// per-message classification: a switch over the topic string.
+func BenchmarkClassifyTopicString(b *testing.B) {
+	b.ReportAllocs()
+	var c Class
+	for i := 0; b.Loop(); i++ {
+		c = ClassifyTopic(benchTopics[i%len(benchTopics)])
+	}
+	sinkClass = c
+}

@@ -36,7 +36,7 @@ func TestNoUnaccountedDropSites(t *testing.T) {
 		filepath.Join("..", "..", "cmd"),
 	}
 	// The one sanctioned discard: the bus's duplicate admission in
-	// sendAdmitted is accounted inside the controller (offered/shed),
+	// admit is accounted inside the controller (offered/shed),
 	// and deliberately stays off the bus's own books.
 	allowed := map[string]bool{
 		"_ = intake.Admit(": true,

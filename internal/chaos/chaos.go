@@ -13,7 +13,6 @@
 package chaos
 
 import (
-	"math/rand"
 	"strings"
 	"time"
 
@@ -31,9 +30,6 @@ type Injector struct {
 	Bus *network.Bus
 	// Metrics counts injections and heals; may be nil.
 	Metrics *telemetry.Registry
-	// Rand drives randomized faults; may be nil when no fault needs
-	// it.
-	Rand *rand.Rand
 }
 
 // Count increments a chaos metric. Fault-local names like

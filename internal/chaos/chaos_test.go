@@ -18,7 +18,7 @@ func newHarness(t *testing.T) (*Injector, *sim.Engine, *network.Bus, *telemetry.
 	metrics := telemetry.NewRegistry()
 	bus := network.NewBus(rand.New(rand.NewSource(1)),
 		network.WithEngine(engine), network.WithMetrics(metrics))
-	return &Injector{Engine: engine, Bus: bus, Metrics: metrics, Rand: rand.New(rand.NewSource(2))},
+	return &Injector{Engine: engine, Bus: bus, Metrics: metrics},
 		engine, bus, metrics
 }
 
@@ -34,9 +34,9 @@ func TestLossWindow(t *testing.T) {
 	Loss{Prob: 1, At: 10 * time.Second, For: 10 * time.Second}.Inject(inj)
 
 	var before, during, after error
-	engine.Schedule(5*time.Second, func() { before = bus.Send(network.Message{From: "x", To: "a"}) })
-	engine.Schedule(15*time.Second, func() { during = bus.Send(network.Message{From: "x", To: "a"}) })
-	engine.Schedule(25*time.Second, func() { after = bus.Send(network.Message{From: "x", To: "a"}) })
+	engine.Schedule(5*time.Second, func() { before = bus.Send(nil, network.Message{From: "x", To: "a"}) })
+	engine.Schedule(15*time.Second, func() { during = bus.Send(nil, network.Message{From: "x", To: "a"}) })
+	engine.Schedule(25*time.Second, func() { after = bus.Send(nil, network.Message{From: "x", To: "a"}) })
 	if err := engine.Run(horizonOf(engine, time.Minute)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -63,8 +63,8 @@ func TestPartitionWindow(t *testing.T) {
 	}
 	Partition{Groups: map[string]int{"a": 0, "b": 1}, At: 10 * time.Second, For: 10 * time.Second}.Inject(inj)
 	var during, after error
-	engine.Schedule(15*time.Second, func() { during = bus.Send(network.Message{From: "a", To: "b"}) })
-	engine.Schedule(25*time.Second, func() { after = bus.Send(network.Message{From: "a", To: "b"}) })
+	engine.Schedule(15*time.Second, func() { during = bus.Send(nil, network.Message{From: "a", To: "b"}) })
+	engine.Schedule(25*time.Second, func() { after = bus.Send(nil, network.Message{From: "a", To: "b"}) })
 	if err := engine.Run(horizonOf(engine, time.Minute)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDuplicationWindow(t *testing.T) {
 	}
 	Duplication{Prob: 1, At: 0}.Inject(inj)
 	engine.Schedule(time.Second, func() {
-		if err := bus.Send(network.Message{From: "x", To: "a"}); err != nil {
+		if err := bus.Send(nil, network.Message{From: "x", To: "a"}); err != nil {
 			t.Errorf("Send: %v", err)
 		}
 	})
@@ -112,7 +112,7 @@ func TestSlowLinksWindow(t *testing.T) {
 	}
 	SlowLinks{Min: 2 * time.Second, Max: 2 * time.Second, At: 0, For: time.Minute}.Inject(inj)
 	engine.Schedule(time.Second, func() {
-		if err := bus.Send(network.Message{From: "x", To: "a"}); err != nil {
+		if err := bus.Send(nil, network.Message{From: "x", To: "a"}); err != nil {
 			t.Errorf("Send: %v", err)
 		}
 	})

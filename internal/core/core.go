@@ -509,7 +509,7 @@ func (c *Collective) RouterFor(from string) device.Actuator {
 			}
 		}
 		ev.Labels = telemetry.Inject(sc, ev.Labels)
-		return c.bus.Send(network.Message{From: from, To: a.Target, Topic: "action", Payload: ev})
+		return c.bus.Send(nil, network.Message{From: from, To: a.Target, Topic: "action", Payload: ev})
 	}
 	return device.ActuatorFunc{
 		Label:    "router:" + from,

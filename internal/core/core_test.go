@@ -192,7 +192,7 @@ func TestBusDeliveryCountedAndWatched(t *testing.T) {
 	if _, err := c.Deliver("d1", policy.Event{Type: "go"}); err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
-	if err := c.bus.Send(network.Message{From: "h", To: "d1", Topic: "command", Payload: policy.Event{Type: "go"}}); err != nil {
+	if err := c.bus.Send(nil, network.Message{From: "h", To: "d1", Topic: "command", Payload: policy.Event{Type: "go"}}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if got := reg.Counter("core.deliveries").Value(); got != 2 {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/bundle"
-	"repro/internal/intern"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -86,8 +85,9 @@ type DistributorConfig struct {
 	Clock func() time.Time
 	// Engine, when set, shards publish fan-out into batch events keyed
 	// like bus deliveries, so a publish to a large fleet spreads over
-	// the worker pool. Nil runs the same batches inline (small fleets,
-	// engine-less tests).
+	// the worker pool; it must be the engine the collective's bus runs
+	// on. Nil runs the same batches inline (small fleets, engine-less
+	// tests).
 	Engine *sim.Engine
 	// FanoutBatch is how many devices one sharded fan-out event covers;
 	// zero means 512.
@@ -190,12 +190,12 @@ func (r *distRoot) wireFor(base uint64) (wireEntry, error) {
 // revisions in hash-chained activation ledgers, and repairs lagging
 // devices by anti-entropy re-push (delta when the device's base is
 // still in history, full otherwise). All state a push or repair reads
-// is guarded by one mutex; PublishRoot and RepairSweep must run from
-// serial-barrier context (engine.Schedule callbacks or outside a run)
-// so bus fault sampling stays deterministic — with an Engine
-// configured, the per-device sends fan out as sharded batch events
-// whose bus traffic is staged back through lanes, keeping journals
-// byte-identical at any worker count.
+// is guarded by one mutex; PublishRoot and RepairSweep scan the whole
+// fleet and append to the journal directly, so they run from
+// serial-barrier context (engine.Schedule callbacks or outside a run).
+// With an Engine configured, the per-device pushes fan out as sharded
+// batch events that send through their lanes, keeping journals and
+// ledgers byte-identical at any worker count.
 type Distributor struct {
 	col   *Collective
 	id    string
@@ -225,13 +225,11 @@ type Distributor struct {
 
 	// The fleet index is dense: every device the distributor has seen
 	// (enrolled, or merely heard an ack from) owns one stable slot in
-	// fleet, found through its interned ID. order holds the enrolled
-	// slots sorted by device ID — the canonical fan-out order of
-	// PublishRoot and RepairSweep — and sweep is the reusable repair
-	// snapshot (serial-barrier callers only).
+	// fleet. order holds the enrolled slots sorted by device ID — the
+	// canonical fan-out order of PublishRoot and RepairSweep — and sweep
+	// is the reusable repair snapshot (serial-barrier callers only).
 	mu     sync.Mutex
-	names  *intern.Table
-	slotOf map[intern.ID]int32
+	slotOf map[string]int32
 	fleet  []fleetEntry
 	order  []int32
 	sweep  []int32
@@ -256,12 +254,11 @@ type rootSub struct {
 // slotLocked returns the device's slot, creating one on first sight.
 // Caller holds x.mu.
 func (x *Distributor) slotLocked(deviceID string) int32 {
-	key := x.names.Of(deviceID)
-	slot, ok := x.slotOf[key]
+	slot, ok := x.slotOf[deviceID]
 	if !ok {
 		slot = int32(len(x.fleet))
 		x.fleet = append(x.fleet, fleetEntry{id: deviceID, sub: make([]rootSub, len(x.roots))})
-		x.slotOf[key] = slot
+		x.slotOf[deviceID] = slot
 	}
 	return slot
 }
@@ -322,8 +319,7 @@ func NewDistributor(cfg DistributorConfig) (*Distributor, error) {
 		cBytesDelta:    cfg.Telemetry.Counter("bundle.bytes_on_wire", "kind", bundle.KindDelta),
 		cActFull:       cfg.Telemetry.Counter("bundle.activated", "kind", bundle.KindFull),
 		cActDelta:      cfg.Telemetry.Counter("bundle.activated", "kind", bundle.KindDelta),
-		names:          intern.NewTable(),
-		slotOf:         make(map[intern.ID]int32),
+		slotOf:         make(map[string]int32),
 	}
 	for _, rc := range roots {
 		if rc.Signer == nil {
@@ -393,7 +389,7 @@ func (x *Distributor) AckedRevisionRoot(org, deviceID string) uint64 {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if slot, ok := x.slotOf[x.names.Lookup(deviceID)]; ok {
+	if slot, ok := x.slotOf[deviceID]; ok {
 		return x.fleet[slot].sub[ri].acked
 	}
 	return 0
@@ -554,12 +550,10 @@ func (x *Distributor) PublishRoot(org string, desired []policy.Policy) (uint64, 
 // It slices the canonical order into batches of FanoutBatch devices;
 // with an engine each batch is a sharded event keyed by its first
 // device, with none it runs inline (serial-barrier caller, nil lane).
-// Batches encode from the shared wire cache and stage their bus sends
-// through the lane, so the send order (and therefore every fault
-// sample) is identical at any worker count. The scan that collects the
-// subscribers also recounts the root's lagging books against rev, the
-// one O(fleet) pass per publish, before any push can draw an ack (on
-// the synchronous bus acks arrive inside the fan-out).
+// The scan that collects the subscribers also recounts the root's
+// lagging books against rev, the one O(fleet) pass per publish, before
+// any push can draw an ack (on the synchronous bus acks arrive inside
+// the fan-out).
 func (x *Distributor) fanoutRoot(ri int, rev uint64) {
 	r := x.roots[ri]
 	x.mu.Lock()
@@ -596,37 +590,15 @@ func (x *Distributor) fanoutRoot(ri int, rev uint64) {
 	}
 }
 
-// pushBatch is one sharded fan-out event: it resolves each device's
-// acked base under the fleet lock, pulls the encoded bundle from the
-// wire cache (atomic counters only — commutative), and stages the
-// actual bus sends through the lane so they run as deterministically
-// ordered serial barriers.
+// pushBatch is one sharded fan-out event: it pushes to each device of
+// the batch from its acked base, read under the fleet lock.
 func (x *Distributor) pushBatch(ri int, batch []int32, lane *sim.Lane) {
-	type outbound struct {
-		id   string
-		data []byte
-	}
-	sends := make([]outbound, 0, len(batch))
 	for _, slot := range batch {
 		x.mu.Lock()
 		id, base := x.fleet[slot].id, x.fleet[slot].sub[ri].acked
 		x.mu.Unlock()
-		w, err := x.roots[ri].wireFor(base)
-		if err != nil {
-			x.recordWireErr(ri, id, err, lane)
-			continue
-		}
-		x.countPush(w)
-		sends = append(sends, outbound{id: id, data: w.data})
+		x.pushTo(lane, ri, id, base)
 	}
-	if len(sends) == 0 {
-		return
-	}
-	x.scheduleSend(lane, func() {
-		for _, s := range sends {
-			x.send(network.Message{From: x.id, To: s.id, Topic: TopicBundle, Payload: s.data})
-		}
-	})
 }
 
 // RepairSweep is the anti-entropy pass over every root: each
@@ -679,7 +651,7 @@ func (x *Distributor) repairRoot(ri int) int {
 			x.onStuck(id)
 		}
 		x.cRepairs.Inc()
-		x.pushTo(ri, id, base)
+		x.pushTo(nil, ri, id, base)
 		repaired++
 	}
 	return repaired
@@ -696,16 +668,15 @@ func (x *Distributor) repairSweepOrder() []int32 {
 }
 
 // pushTo encodes and sends the best bundle for a device at the given
-// base revision on one root. Serial-barrier context only (it samples
-// bus fault state).
-func (x *Distributor) pushTo(ri int, deviceID string, base uint64) {
+// base revision on one root, from the wire cache.
+func (x *Distributor) pushTo(lane *sim.Lane, ri int, deviceID string, base uint64) {
 	w, err := x.roots[ri].wireFor(base)
 	if err != nil {
-		x.recordWireErr(ri, deviceID, err, nil)
+		x.recordWireErr(ri, deviceID, err, lane)
 		return
 	}
 	x.countPush(w)
-	x.send(network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
+	x.send(lane, network.Message{From: x.id, To: deviceID, Topic: TopicBundle, Payload: w.data})
 }
 
 // recordWireErr accounts a failed bundle materialization. A root with
@@ -732,22 +703,22 @@ func (x *Distributor) countPush(w wireEntry) {
 	x.cPushed.Inc()
 }
 
-// send pushes one distribution-plane message. A failed send is
-// survivable by design — lost pushes are re-pushed by repair sweeps,
-// lost acks re-acked on the next stale re-delivery, lost pulls retried
-// on the next gap — but never silent: each is counted by topic so a
-// persistently failing link shows up in telemetry before the watchdog
-// escalation does.
-func (x *Distributor) send(m network.Message) {
-	if err := x.col.bus.Send(m); err != nil {
+// send pushes one distribution-plane message through the caller's
+// lane. A failed send is survivable by design — lost pushes are
+// re-pushed by repair sweeps, lost acks re-acked on the next stale
+// re-delivery, lost pulls retried on the next gap — but never silent:
+// each is counted by topic so a persistently failing link shows up in
+// telemetry before the watchdog escalation does.
+func (x *Distributor) send(lane *sim.Lane, m network.Message) {
+	if err := x.col.bus.Send(lane, m); err != nil {
 		x.reg.Counter("bundle.send_failed", "topic", m.Topic).Inc()
 	}
 }
 
 // handle is the distributor's lane handler: all acks and pulls shard on
 // the distributor's bus ID, so ledger appends and revision bookkeeping
-// are serialized and deterministic. Replies (pull repairs) are staged
-// through the lane so their bus sends run as serial barriers.
+// are serialized and deterministic. Pull repairs are sent through the
+// lane.
 //
 // A report's device identity is taken from the bus envelope, never
 // from the payload: a compromised device claiming another device's
@@ -814,7 +785,7 @@ func (x *Distributor) handle(m network.Message, lane *sim.Lane) {
 			return
 		}
 		x.cPulls.Inc()
-		x.scheduleSend(lane, func() { x.pushTo(ri, pull.Device, pull.Have) })
+		x.pushTo(lane, ri, pull.Device, pull.Have)
 	}
 }
 
@@ -880,11 +851,9 @@ func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.A
 			if errors.Is(err, bundle.ErrGap) {
 				// The device knows it is behind a chain it cannot patch
 				// from: pull repair instead of waiting for the sweep.
-				x.scheduleSend(lane, func() {
-					x.send(network.Message{
-						From: deviceID, To: x.id, Topic: TopicBundlePull,
-						Payload: BundlePull{Device: deviceID, Org: org, Have: rev},
-					})
+				x.send(lane, network.Message{
+					From: deviceID, To: x.id, Topic: TopicBundlePull,
+					Payload: BundlePull{Device: deviceID, Org: org, Have: rev},
 				})
 			}
 		} else if applied {
@@ -896,20 +865,6 @@ func (x *Distributor) deviceHandler(deviceID string, agents map[string]*bundle.A
 			audit.Resolve(lane, log).Append(audit.KindBundle, deviceID, "bundle.activated",
 				map[string]string{"revision": strconv.FormatUint(rev, 10), "kind": b.Kind()})
 		}
-		x.scheduleSend(lane, func() {
-			x.send(network.Message{
-				From: deviceID, To: x.id, Topic: TopicBundleAck, Payload: ack,
-			})
-		})
+		x.send(lane, network.Message{From: deviceID, To: x.id, Topic: TopicBundleAck, Payload: ack})
 	}
-}
-
-// scheduleSend runs fn as a serial-barrier event (bus sends sample
-// shared fault state); with no lane (synchronous bus) it runs inline.
-func (x *Distributor) scheduleSend(lane *sim.Lane, fn func()) {
-	if lane == nil {
-		fn()
-		return
-	}
-	lane.Schedule(0, fn)
 }

@@ -2,15 +2,18 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bundle"
 	"repro/internal/network"
 	"repro/internal/policy"
 	"repro/internal/policylang"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -126,7 +129,7 @@ func TestDistributorFailClosedPush(t *testing.T) {
 	bad.Manifest.Root = bundle.ComputeRoot(bad.Manifest)
 	bad.SignWith(bundle.HMACKey{ID: "rogue", Secret: []byte("rogue")})
 	data, _ := bundle.Encode(bad)
-	if err := bus.Send(network.Message{From: "attacker", To: "d1", Topic: TopicBundle, Payload: data}); err != nil {
+	if err := bus.Send(nil, network.Message{From: "attacker", To: "d1", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 
@@ -231,7 +234,7 @@ func TestDistributorGapTriggersPullRepair(t *testing.T) {
 		t.Fatal("DeltaFrom(2) failed")
 	}
 	data, _ := bundle.Encode(delta)
-	if err := bus.Send(network.Message{From: dist.id, To: "d3", Topic: TopicBundle, Payload: data}); err != nil {
+	if err := bus.Send(nil, network.Message{From: dist.id, To: "d3", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	// The gap rejection triggered a pull, the pull triggered a full
@@ -266,7 +269,7 @@ func TestDistributorForgedAckDoesNotMaskLaggingDevice(t *testing.T) {
 
 	// d1 (compromised) forges an ack in d2's name claiming revision 2.
 	forged := BundleAck{Device: "d2", Revision: 2, Applied: true}
-	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: forged}); err != nil {
+	if err := bus.Send(nil, network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: forged}); err != nil {
 		t.Fatalf("send forged ack: %v", err)
 	}
 	if got := dist.AckedRevisionRoot("", "d2"); got != 1 {
@@ -305,7 +308,7 @@ func TestDistributorForgedPullDropped(t *testing.T) {
 		t.Fatalf("Publish: %v", err)
 	}
 	pushedBefore := reg.Counter("bundle.pushed").Value()
-	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: BundlePull{Device: "d2", Have: 0}}); err != nil {
+	if err := bus.Send(nil, network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: BundlePull{Device: "d2", Have: 0}}); err != nil {
 		t.Fatalf("send forged pull: %v", err)
 	}
 	if got := reg.Counter("bundle.forged_report", "topic", TopicBundlePull).Value(); got != 1 {
@@ -325,13 +328,13 @@ func TestDistributorBadPayloadCounted(t *testing.T) {
 	if _, err := dist.PublishRoot("", distPolicies(t, 3, "r1")); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	if err := bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: 42}); err != nil {
+	if err := bus.Send(nil, network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: 42}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: "not an ack"}); err != nil {
+	if err := bus.Send(nil, network.Message{From: "d1", To: dist.id, Topic: TopicBundleAck, Payload: "not an ack"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: 7}); err != nil {
+	if err := bus.Send(nil, network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull, Payload: 7}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if got := reg.Counter("bundle.bad_payload").Value(); got != 3 {
@@ -498,7 +501,7 @@ func TestDistributorMultiRootScopeRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := bundle.Encode(full)
-	if err := c.bus.Send(network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
+	if err := c.bus.Send(nil, network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	uk, _ := c.Device("uk-0")
@@ -532,10 +535,10 @@ func TestDistributorUnknownOrgReportDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := bundle.Encode(full)
-	if err := c.bus.Send(network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
+	if err := c.bus.Send(nil, network.Message{From: dist.id, To: "uk-0", Topic: TopicBundle, Payload: data}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := c.bus.Send(network.Message{From: "uk-0", To: dist.id, Topic: TopicBundlePull,
+	if err := c.bus.Send(nil, network.Message{From: "uk-0", To: dist.id, Topic: TopicBundlePull,
 		Payload: BundlePull{Device: "uk-0", Org: "zz"}}); err != nil {
 		t.Fatalf("send pull: %v", err)
 	}
@@ -566,4 +569,98 @@ func TestDistributorUnknownOrgReportDropped(t *testing.T) {
 	if audited != 2 {
 		t.Fatalf("bad_payload audited %d times, want 2", audited)
 	}
+}
+
+// TestDistributorTwoRootsDeterministic publishes two roots in one
+// barrier, three revisions each, over a zero-latency bus losing 30%,
+// and repairs to convergence. One device follows only the us root, so
+// the roots cut the fleet into different two-device batches: a device's
+// pushes from the two roots leave from different batch events, which
+// may run on different workers, and its acks interleave on the
+// distributor's shard. The journal and both ledgers must still be
+// byte-identical at 1, 2 and 4 workers.
+func TestDistributorTwoRootsDeterministic(t *testing.T) {
+	want := twoRootsRun(t, 1)
+	for _, workers := range []int{2, 4} {
+		if got := twoRootsRun(t, workers); got != want {
+			t.Fatalf("%d workers: %s, want %s (the serial run)", workers, got, want)
+		}
+	}
+}
+
+// twoRootsRun plays the two-root scenario once and renders the bus's
+// books, then the journal and both ledgers as length/tip.
+func twoRootsRun(t *testing.T, workers int) string {
+	t.Helper()
+	clock := sim.NewClock(time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC))
+	engine := sim.NewEngine(clock)
+	engine.SetParallelism(workers)
+	bus := network.NewBus(rand.New(rand.NewSource(3)), network.WithEngine(engine), network.WithLoss(0.3))
+	log := audit.New(audit.WithClock(clock.Now))
+	c := newCollective(t, func(cfg *Config) { cfg.Bus, cfg.Audit = bus, log })
+	usKey := bundle.HMACKey{ID: "us-root", Secret: []byte("us secret")}
+	ukKey := bundle.HMACKey{ID: "uk-root", Secret: []byte("uk secret")}
+	dist, err := NewDistributor(DistributorConfig{
+		Collective:  c,
+		Roots:       []RootConfig{{Org: "us", Signer: usKey}, {Org: "uk", Signer: ukKey}},
+		Clock:       clock.Now,
+		Engine:      engine,
+		FanoutBatch: 2,
+		OnStuck:     func(string) {},
+	})
+	if err != nil {
+		t.Fatalf("NewDistributor: %v", err)
+	}
+	ring := bundle.NewKeyRing().
+		Add(usKey.ID, usKey, bundle.Scope{Org: "us"}).
+		Add(ukKey.ID, ukKey, bundle.Scope{Org: "uk"})
+	for i := 0; i < 24; i++ {
+		id := fmt.Sprintf("dev-%02d", i)
+		if err := c.AddDevice(newMember(t, c, id, 10), nil); err != nil {
+			t.Fatalf("AddDevice %s: %v", id, err)
+		}
+		orgs := []string{"us", "uk"}
+		if i == 0 {
+			orgs = orgs[:1]
+		}
+		if err := dist.EnrollRoots(id, ring, orgs...); err != nil {
+			t.Fatalf("EnrollRoots %s: %v", id, err)
+		}
+	}
+	barrier := func(fn func()) {
+		engine.Schedule(time.Second, fn)
+		if err := engine.Run(clock.Now().Add(time.Second)); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	for _, tag := range []string{"r1", "r2", "r3"} {
+		barrier(func() {
+			for _, org := range []string{"us", "uk"} {
+				if _, err := dist.PublishRoot(org, orgPolicies(t, org, tag, 3)); err != nil {
+					t.Errorf("PublishRoot %s: %v", org, err)
+				}
+			}
+		})
+		for sweeps := 0; !dist.Converged(); sweeps++ {
+			if sweeps == 32 {
+				t.Fatalf("%s: not converged after %d sweeps", tag, sweeps)
+			}
+			barrier(func() { dist.RepairSweep() })
+		}
+	}
+	delivered, dropped := bus.Stats()
+	if dropped == 0 {
+		t.Fatal("degenerate run: the bus lost nothing")
+	}
+	out := fmt.Sprintf("sent %d delivered %d dropped %d, journal %s", bus.Sent(), delivered, dropped, lenTip(log))
+	for _, org := range dist.Orgs() {
+		out += fmt.Sprintf(", %s ledger %s", org, lenTip(dist.RootLedger(org)))
+	}
+	return out
+}
+
+// lenTip renders a log as its length and tip hash.
+func lenTip(log *audit.Log) string {
+	_, tip := log.EntriesSince(log.Len())
+	return fmt.Sprintf("%d/%s", log.Len(), tip)
 }

@@ -105,7 +105,7 @@ func laggingBooksRun(t *testing.T, seed int64) {
 	}
 	ack := func(from string, a BundleAck) {
 		// A lost ack is part of the scenario, not a failure.
-		_ = bus.Send(network.Message{From: from, To: dist.id, Topic: TopicBundleAck, Payload: a})
+		_ = bus.Send(nil, network.Message{From: from, To: dist.id, Topic: TopicBundleAck, Payload: a})
 	}
 
 	published := 0

@@ -104,7 +104,7 @@ func TestMetricNamesUnified(t *testing.T) {
 
 	// Partition drops, so bus.dropped{cause="partition"} registers.
 	bus.Partition(map[string]int{"d1": 1})
-	_ = bus.Send(network.Message{From: "x", To: "d1", Topic: "t"})
+	_ = bus.Send(nil, network.Message{From: "x", To: "d1", Topic: "t"})
 	bus.Heal()
 
 	// Gossip accounting, with and without a dropping link (plus retry).
@@ -135,7 +135,7 @@ func TestMetricNamesUnified(t *testing.T) {
 
 	// One-way partition drops register bus.dropped{cause="oneway"}.
 	bus.PartitionOneWay([]string{"x"}, []string{"d1"})
-	_ = bus.Send(network.Message{From: "x", To: "d1", Topic: "t"})
+	_ = bus.Send(nil, network.Message{From: "x", To: "d1", Topic: "t"})
 	bus.HealOneWay()
 
 	// The bundle distribution plane: a publish/activate round trip, a
@@ -159,7 +159,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	bad, _ := dist.roots[0].pub.Full()
 	bad.Sig = "00"
 	data, _ := bundle.Encode(bad)
-	_ = bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
+	_ = bus.Send(nil, network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
 	// A scope-violating push — valid signature, foreign org — registers
 	// bundle.scope_rejected at its real call site.
 	scoped := bad
@@ -167,12 +167,12 @@ func TestMetricNamesUnified(t *testing.T) {
 	scoped.Manifest.Root = bundle.ComputeRoot(scoped.Manifest)
 	scoped.SignWith(key)
 	data, _ = bundle.Encode(scoped)
-	_ = bus.Send(network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
+	_ = bus.Send(nil, network.Message{From: dist.id, To: "d1", Topic: TopicBundle, Payload: data})
 	// Forged and malformed reports register bundle.forged_report and
 	// bundle.bad_payload.
-	_ = bus.Send(network.Message{From: "x", To: dist.id, Topic: TopicBundleAck,
+	_ = bus.Send(nil, network.Message{From: "x", To: dist.id, Topic: TopicBundleAck,
 		Payload: BundleAck{Device: "d1", Revision: 1, Applied: true}})
-	_ = bus.Send(network.Message{From: "x", To: dist.id, Topic: TopicBundlePull, Payload: "junk"})
+	_ = bus.Send(nil, network.Message{From: "x", To: dist.id, Topic: TopicBundlePull, Payload: "junk"})
 	// Detach the device so a second publish goes unacked, then sweep
 	// past the stuck threshold → bundle.repairs and bundle.lagging.
 	bus.Detach("d1")
@@ -182,7 +182,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	dist.RepairSweep()
 	dist.RepairSweep()
 	// A pull request exercises bundle.pulls.
-	_ = bus.Send(network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull,
+	_ = bus.Send(nil, network.Message{From: "d1", To: dist.id, Topic: TopicBundlePull,
 		Payload: BundlePull{Device: "d1", Have: 0}})
 
 	// The residual specialization counters must have moved at their

@@ -208,8 +208,7 @@ func newBundleRig(cfg rigConfig, seed int64, workers int) (*bundleRig, error) {
 	}
 
 	// Publish cadence: every root with revisions left cuts its next one,
-	// from barrier events so the bus's fault sampling order is serial
-	// and reproducible.
+	// from barrier events, the context PublishRoot requires.
 	published := make([]int, len(cfg.roots))
 	pending := func() bool {
 		for i, r := range cfg.roots {
@@ -279,7 +278,7 @@ func (r *bundleRig) run(sends []rigSend) error {
 	lost := 0
 	for _, s := range sends {
 		r.engine.Schedule(s.at, func() {
-			if err := r.bus.Send(s.msg); err != nil {
+			if err := r.bus.Send(nil, s.msg); err != nil {
 				lost++
 			}
 		})

@@ -402,10 +402,7 @@ policy lash priority 2: on provoke do strike category kinetic-action`
 			},
 		}}, faults...)
 	}
-	injector := &chaos.Injector{
-		Engine: engine, Bus: bus, Metrics: metrics,
-		Rand: rand.New(rand.NewSource(seed + 2)),
-	}
+	injector := &chaos.Injector{Engine: engine, Bus: bus, Metrics: metrics}
 	(chaos.Schedule{Name: sched.name, Faults: faults}).Apply(injector)
 
 	if err := orch.Run(clock.Now().Add(p.Horizon)); err != nil {

@@ -151,9 +151,8 @@ func RunE16Workers(p E16Params, workers int) (E16Outcome, error) {
 		}
 	}
 
-	// The load generators are barrier events: sends (and therefore the
-	// bus's fault sampling order) are serial, which is what makes the
-	// run reproducible at any parallelism.
+	// The load generators are barrier events, so their lane-less sends
+	// are keyed by the bus's own count in one order at any parallelism.
 	round := 0
 	engine.ScheduleEvery(p.Period, func() bool { return round < p.Rounds }, func() {
 		for r := 0; r < p.Fleet; r++ {
@@ -238,7 +237,7 @@ func RunE16Workers(p E16Params, workers int) (E16Outcome, error) {
 // the bus's books already hold the outcome — there is nothing for the
 // caller to lose.
 func conservedSend(bus *network.Bus, msg network.Message) error {
-	return bus.Send(msg)
+	return bus.Send(nil, msg)
 }
 
 // RunE16 measures saturation behavior: the fleet is offered 2x its

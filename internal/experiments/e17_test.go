@@ -34,20 +34,21 @@ func TestE17Converges(t *testing.T) {
 // TestE17RepairPathsExercised asserts the chaos schedule actually
 // drives the anti-entropy machinery: repair pushes happen, and the
 // one-way window forces the distributor to re-push to devices that
-// already activated. It also pins the journal and ledger, recorded
-// while E17 still built its own world: the determinism gate compares
-// worker counts only with each other, so a change to the shared rig
-// that moved every worker count alike would pass it.
+// already activated. It also pins the journal and ledger: the
+// determinism gate compares worker counts only with each other, so a
+// change to the shared rig that moved every worker count alike would
+// pass it. A change to how the bus draws faults moves these pins by
+// design while the worker-count differential keeps passing.
 func TestE17RepairPathsExercised(t *testing.T) {
 	out, err := RunE17Workers(E17Params{Seed: 1}, 1)
 	if err != nil {
 		t.Fatalf("RunE17Workers: %v", err)
 	}
 	const (
-		journalLen = 91
-		journalTip = "af0e990c3672ddb822e9348c9610945d82730cafc06ffecc0e13d8ae89f7533e"
-		ledgerLen  = 66
-		ledgerTip  = "1c4a02c73550ebae413fdaf070d1a944ef87e6849152d8e0cb875d6bb4affdb1"
+		journalLen = 93
+		journalTip = "a1630e4f7c4893b43720ad8e060b2984f0303f06943cd64d7cdc18a847ec634e"
+		ledgerLen  = 72
+		ledgerTip  = "617a58dc9406198870ce54db9acbdaa31ac924780cb9b46b9f7a4b9b8190483b"
 	)
 	if out.JournalLen != journalLen || out.JournalTip != journalTip {
 		t.Errorf("journal %d/%s, want %d/%s", out.JournalLen, out.JournalTip, journalLen, journalTip)

@@ -342,7 +342,7 @@ func RunE21(p E21Params) (Result, error) {
 			e21Attacks, base.RejectedScope, base.ScopeRejUS, base.ScopeRejUK, 0),
 		fmt.Sprintf("forged reports: 1 ack (claiming us-00 at rev 999) + 1 pull dropped, counted and audited; us-00's ledger standing unaffected (acked %d)",
 			base.ForgedAckedUS),
-		fmt.Sprintf("fan-out ran as sharded batch events (batch=%d) staged through lanes; equal tips over equal lengths = byte-identical journal AND both per-root ledgers at every parallelism",
+		fmt.Sprintf("fan-out ran as sharded batch events (batch=%d) sending through their lanes; equal tips over equal lengths = byte-identical journal AND both per-root ledgers at every parallelism",
 			rigFanoutBatch))
 	return result, nil
 }

@@ -34,10 +34,11 @@ func TestE21CoalitionGate(t *testing.T) {
 // TestE21ChaosPathsExercised asserts the schedule drives the machinery
 // it claims to test: repairs happened on both roots' behalf, both the
 // full and delta activation paths ran, and both per-root ledgers hold
-// hash-chained history. It also pins the journal and both ledgers,
-// recorded while E21 still built its own world: the determinism gate
-// compares worker counts only with each other, so a change to the
-// shared rig that moved every worker count alike would pass it.
+// hash-chained history. It also pins the journal and both ledgers: the
+// determinism gate compares worker counts only with each other, so a
+// change to the shared rig that moved every worker count alike would
+// pass it. A change to how the bus draws faults moves these pins by
+// design while the worker-count differential keeps passing.
 func TestE21ChaosPathsExercised(t *testing.T) {
 	out, err := RunE21Workers(E21Params{Seed: 1}, 1)
 	if err != nil {
@@ -50,9 +51,9 @@ func TestE21ChaosPathsExercised(t *testing.T) {
 		wantLen int
 		wantTip string
 	}{
-		{"journal", out.JournalLen, out.JournalTip, 87, "10a3fd1d38421f1dd7a35a7037981c6db9c65c8d4cc7817f7063605ab27db31e"},
-		{"us ledger", out.LedgerLenUS, out.LedgerTipUS, 35, "0ce837faebdd127603d92c36c2350b00c472515670acb5e6edd42a4c7d74db9d"},
-		{"uk ledger", out.LedgerLenUK, out.LedgerTipUK, 22, "4d9e472de02abe5acb7c499c95df44b1e2ee41e2220114db86a6d65ff78907c6"},
+		{"journal", out.JournalLen, out.JournalTip, 94, "e337f10bbf145bc328fee12ce8b69ab92d5b36a855f47f24885cc6860a4e77f7"},
+		{"us ledger", out.LedgerLenUS, out.LedgerTipUS, 35, "b09b52b34c2537238eb229ae10f6d6ee7e757aa647d56d50047417a1e1cbefdd"},
+		{"uk ledger", out.LedgerLenUK, out.LedgerTipUK, 28, "f88b6984b15b293d84b19bab8c3baa7895013d84946f038fb081dc723a669465"},
 	}
 	for _, pin := range pins {
 		if pin.gotLen != pin.wantLen || pin.gotTip != pin.wantTip {

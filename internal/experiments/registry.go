@@ -74,5 +74,5 @@ func ByID(id string) (Runner, error) {
 			return r, nil
 		}
 	}
-	return Runner{}, fmt.Errorf("experiments: unknown experiment %q", id)
+	return Runner{}, fmt.Errorf("unknown experiment %q", id)
 }

@@ -1,172 +1,16 @@
-// Package intern provides string interning for the hot label paths of
-// the fleet: event types, bus topics, action names, audit kinds, and
-// device IDs. Interning turns repeated string comparisons and map keys
-// into integer comparisons and dense slice indices, which is what lets
-// the simulator keep per-entity bookkeeping in flat arrays instead of
-// string-keyed maps.
-//
-// A Table is two-level:
-//
-//   - a preloaded level built at construction time and immutable
-//     afterwards, so lookups of well-known strings (topics, event
-//     types, action names) are lock-free map reads; and
-//   - a mutex-guarded spill level for strings discovered at runtime
-//     (device IDs, scenario-specific labels).
-//
-// IDs are dense and start at 1; ID 0 is reserved for "not interned"
-// (the zero value), so intern.ID fields of zero-initialised structs
-// are naturally invalid. For a given Table, interning the same string
-// twice always yields the same ID and the same canonical string
-// pointer, regardless of which goroutine got there first.
+// Package intern deduplicates retained strings on the fleet's hot
+// label paths: a fleet renders the same guard denial reason or audit
+// detail millions of times, and Dedup keeps one copy of each.
 package intern
 
 import "sync"
-
-// ID identifies an interned string within a Table. The zero ID is
-// invalid and never assigned.
-type ID uint32
-
-// None is the zero ID, returned for strings that are not interned
-// (by Lookup) and never assigned by Of.
-const None ID = 0
-
-// Table interns strings to dense IDs. The zero Table is not usable;
-// construct with NewTable.
-type Table struct {
-	preloaded map[string]ID // immutable after NewTable
-
-	mu    sync.RWMutex
-	spill map[string]ID
-	strs  []string // index ID-1 -> canonical string (preloaded prefix immutable)
-}
-
-// NewTable builds a table with the given strings preloaded.
-// Duplicates are tolerated and intern to one ID. Lookups of preloaded
-// strings never take a lock.
-func NewTable(preload ...string) *Table {
-	t := &Table{
-		preloaded: make(map[string]ID, len(preload)),
-		spill:     make(map[string]ID),
-		strs:      make([]string, 0, len(preload)+16),
-	}
-	for _, s := range preload {
-		if _, ok := t.preloaded[s]; ok {
-			continue
-		}
-		t.strs = append(t.strs, s)
-		t.preloaded[s] = ID(len(t.strs))
-	}
-	return t
-}
-
-// Of returns the ID for s, interning it if necessary.
-func (t *Table) Of(s string) ID {
-	if id, ok := t.preloaded[s]; ok {
-		return id
-	}
-	t.mu.RLock()
-	id, ok := t.spill[s]
-	t.mu.RUnlock()
-	if ok {
-		return id
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id, ok := t.spill[s]; ok {
-		return id
-	}
-	t.strs = append(t.strs, s)
-	id = ID(len(t.strs))
-	t.spill[s] = id
-	return id
-}
-
-// Lookup returns the ID for s if it is already interned, or None.
-// It never interns.
-func (t *Table) Lookup(s string) ID {
-	if id, ok := t.preloaded[s]; ok {
-		return id
-	}
-	t.mu.RLock()
-	id := t.spill[s]
-	t.mu.RUnlock()
-	return id
-}
-
-// Str returns the canonical string for id, or "" if id is None or out
-// of range. The returned string is the single canonical copy held by
-// the table, so retaining it does not pin caller-built buffers.
-func (t *Table) Str(id ID) string {
-	if id == None {
-		return ""
-	}
-	i := int(id) - 1
-	if i < len(t.preloaded) { // immutable prefix: no lock needed
-		return t.strs[i]
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i >= len(t.strs) {
-		return ""
-	}
-	return t.strs[i]
-}
-
-// Canonical returns the canonical copy of s, interning it if
-// necessary. Use this to deduplicate retained strings (e.g. device
-// IDs stored in long-lived journal entries).
-func (t *Table) Canonical(s string) string {
-	return t.Str(t.Of(s))
-}
-
-// Len reports how many distinct strings the table holds.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.strs)
-}
-
-// Well-known strings preloaded into the default table. Keeping them
-// here (rather than scattered through packages) makes the lock-free
-// fast path cover every label the MAPE hot loop touches.
-var wellKnown = []string{
-	// bus topics
-	"command", "action", "guard", "oversight", "bundle", "bundle_ack",
-	"bundle_pull", "gossip", "telemetry", "repair", "status",
-	// event types
-	"self-state-alert", "command-event", "tick",
-	// audit kinds
-	"action", "denial", "obligation", "command", "admission",
-	"bundle-activate", "bundle-reject", "watchdog", "break-glass",
-	// common action names
-	"no-op", "cool", "vent", "shutdown", "throttle",
-}
-
-var defaultTable = NewTable(wellKnown...)
-
-// Default returns the process-wide table used by the package-level
-// helpers.
-func Default() *Table { return defaultTable }
-
-// Of interns s in the default table.
-func Of(s string) ID { return defaultTable.Of(s) }
-
-// Lookup looks up s in the default table without interning.
-func Lookup(s string) ID { return defaultTable.Lookup(s) }
-
-// Str resolves id against the default table.
-func Str(id ID) string { return defaultTable.Str(id) }
-
-// Canonical returns the canonical copy of s from the default table.
-func Canonical(s string) string { return defaultTable.Canonical(s) }
 
 // Dedup returns a canonical string equal to b. It deduplicates
 // repeatedly-rendered retained strings (guard denial reasons, audit
 // action details) whose value set is small but not known up front:
 // the steady-state cost of rendering the same reason a million times
-// drops to a map lookup. Unlike Table, Dedup assigns no IDs, and the
-// cache is bounded — once full, new strings are returned uncached
-// (one allocation, no growth).
+// drops to a map lookup. The cache is bounded — once full, new strings
+// are returned uncached (one allocation, no growth).
 func Dedup(b []byte) string {
 	dedup.RLock()
 	s, ok := dedup.m[string(b)]

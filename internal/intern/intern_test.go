@@ -2,103 +2,44 @@ package intern
 
 import (
 	"fmt"
-	"sync"
 	"testing"
+	"unsafe"
 )
 
-func TestPreloadedAndSpill(t *testing.T) {
-	tb := NewTable("alpha", "beta", "alpha")
-	if got := tb.Len(); got != 2 {
-		t.Fatalf("Len after duplicate preload = %d, want 2", got)
+// TestDedup checks both halves of the contract: equal inputs share one
+// string, and once the cache is full new strings still come back
+// correct but are no longer cached.
+func TestDedup(t *testing.T) {
+	a := Dedup([]byte("denied: heat over threshold"))
+	b := Dedup([]byte("denied: heat over threshold"))
+	if a != "denied: heat over threshold" {
+		t.Fatalf("Dedup = %q", a)
 	}
-	a := tb.Of("alpha")
-	if a == None {
-		t.Fatal("preloaded string interned to None")
+	if unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Error("equal inputs did not share one string")
 	}
-	if tb.Of("alpha") != a {
-		t.Fatal("re-interning preloaded string changed ID")
+
+	// Fill the cache; other tests in the package may have cached some
+	// strings already, so stop at the cap rather than at a count.
+	for i := 0; cached() < dedupCap; i++ {
+		Dedup([]byte(fmt.Sprintf("filler-%d", i)))
 	}
-	c := tb.Of("gamma")
-	if c == a || c == None {
-		t.Fatalf("spill ID %d collides or is None", c)
+	c := Dedup([]byte("past the cap"))
+	d := Dedup([]byte("past the cap"))
+	if c != "past the cap" || d != "past the cap" {
+		t.Fatalf("Dedup past the cap = %q, %q", c, d)
 	}
-	if tb.Str(c) != "gamma" {
-		t.Fatalf("Str(%d) = %q, want gamma", c, tb.Str(c))
+	if unsafe.StringData(c) == unsafe.StringData(d) {
+		t.Error("a string past the cap was cached")
 	}
-	if tb.Lookup("delta") != None {
-		t.Fatal("Lookup of unknown string should be None")
-	}
-	if tb.Str(None) != "" {
-		t.Fatal("Str(None) should be empty")
-	}
-	if tb.Str(ID(999)) != "" {
-		t.Fatal("Str out of range should be empty")
+	if n := cached(); n != dedupCap {
+		t.Errorf("cache holds %d strings, want the cap %d", n, dedupCap)
 	}
 }
 
-// TestConcurrentInterning is the satellite concurrency property:
-// parallel interning of overlapping string sets yields exactly one
-// canonical ID and one canonical string pointer per distinct string,
-// with no duplicate IDs.
-func TestConcurrentInterning(t *testing.T) {
-	tb := NewTable("shared-0", "shared-1")
-	const goroutines = 16
-	const perSet = 200
-
-	results := make([]map[string]ID, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			seen := make(map[string]ID, perSet)
-			// Overlapping sets: every goroutine interns the same
-			// perSet strings, in a goroutine-dependent order.
-			for i := 0; i < perSet; i++ {
-				k := (i*7 + g*13) % perSet
-				s := fmt.Sprintf("shared-%d", k)
-				seen[s] = tb.Of(s)
-			}
-			results[g] = seen
-		}(g)
-	}
-	wg.Wait()
-
-	// All goroutines agree on every ID.
-	for g := 1; g < goroutines; g++ {
-		for s, id := range results[g] {
-			if results[0][s] != id {
-				t.Fatalf("goroutine %d interned %q as %d, goroutine 0 as %d", g, s, id, results[0][s])
-			}
-		}
-	}
-	// No duplicate IDs across distinct strings.
-	byID := make(map[ID]string)
-	for s, id := range results[0] {
-		if prev, ok := byID[id]; ok && prev != s {
-			t.Fatalf("ID %d assigned to both %q and %q", id, prev, s)
-		}
-		byID[id] = s
-	}
-	if got := tb.Len(); got != perSet {
-		t.Fatalf("table holds %d strings, want %d", got, perSet)
-	}
-	// Canonical returns the same backing string every time.
-	c1 := tb.Canonical("shared-3")
-	c2 := tb.Canonical("shared-" + fmt.Sprint(3))
-	if c1 != c2 {
-		t.Fatal("Canonical returned different strings for equal input")
-	}
-}
-
-func TestDefaultTable(t *testing.T) {
-	if Of("command") == None {
-		t.Fatal("well-known topic not interned")
-	}
-	if Str(Of("action")) != "action" {
-		t.Fatal("default table round-trip failed")
-	}
-	if Canonical("some-device-7") != "some-device-7" {
-		t.Fatal("Canonical changed string content")
-	}
+// cached reports how many strings the Dedup cache holds.
+func cached() int {
+	dedup.RLock()
+	defer dedup.RUnlock()
+	return len(dedup.m)
 }

@@ -10,6 +10,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -50,8 +51,11 @@ type LaneHandler func(Message, *sim.Lane)
 // one is. Loss probability and partitions model degraded coalition
 // networks. All methods are safe for concurrent use.
 type Bus struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
+	mu sync.Mutex
+	// seed keys every fault draw; unkeyed counts the lane-less sends,
+	// the position of the next one (see Send).
+	seed        uint64
+	unkeyed     uint64
 	engine      *sim.Engine
 	metrics     *telemetry.Registry
 	intake      *admission.Controller
@@ -175,20 +179,21 @@ func clamp01(p float64) float64 {
 	return p
 }
 
-// NewBus builds a bus. The random source drives loss, duplication and
-// latency sampling; when faults are configured with a nil rng the bus
-// defaults to a fixed-seed source at configuration time, so a chaos
-// schedule can never be a silent no-op.
+// NewBus builds a bus. Loss, duplication and latency are drawn from
+// a seed taken from rng (a fixed one when rng is nil), so a fault
+// injected at any point always takes effect.
 func NewBus(rng *rand.Rand, opts ...BusOption) *Bus {
 	b := &Bus{
-		rng:       rng,
+		seed:      1,
 		nodes:     make(map[string]LaneHandler),
 		partition: make(map[string]int),
+	}
+	if rng != nil {
+		b.seed = rng.Uint64()
 	}
 	for _, o := range opts {
 		o.apply(b)
 	}
-	b.ensureRNGLocked()
 	return b
 }
 
@@ -206,17 +211,6 @@ func (b *Bus) Presize(n int) {
 		nodes[k] = v
 	}
 	b.nodes = nodes
-}
-
-// ensureRNGLocked guarantees a random source exists whenever loss,
-// duplication or a latency spread is configured. Sampling guards used
-// to skip fault injection silently when the rng was nil; defaulting
-// the source (fixed seed, reproducible) at every configuration point
-// makes that state unrepresentable.
-func (b *Bus) ensureRNGLocked() {
-	if b.rng == nil && (b.lossProb > 0 || b.dupProb > 0 || b.maxLatency > b.minLatency) {
-		b.rng = rand.New(rand.NewSource(1))
-	}
 }
 
 // AttachLane registers a node's shard-safe handler under its ID: with
@@ -313,22 +307,17 @@ func (b *Bus) HealOneWay() {
 }
 
 // SetLoss changes the loss probability at runtime (fault injection).
-// A bus built without a random source gets a fixed-seed one here, so
-// the injected fault always takes effect.
 func (b *Bus) SetLoss(p float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lossProb = clamp01(p)
-	b.ensureRNGLocked()
 }
 
-// SetDuplication changes the duplication probability at runtime, with
-// the same rng-defaulting guarantee as SetLoss.
+// SetDuplication changes the duplication probability at runtime.
 func (b *Bus) SetDuplication(p float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.dupProb = clamp01(p)
-	b.ensureRNGLocked()
 }
 
 // SetLatency changes the delivery latency range at runtime (slow-link
@@ -343,7 +332,6 @@ func (b *Bus) SetLatency(min, max time.Duration) {
 		max = min
 	}
 	b.minLatency, b.maxLatency = min, max
-	b.ensureRNGLocked()
 }
 
 // Send delivers a message to msg.To. It returns ErrUnknownNode for
@@ -351,14 +339,19 @@ func (b *Bus) SetLatency(min, max time.Duration) {
 // With an engine attached, delivery is asynchronous and Send reports
 // only send-time failures.
 //
-// Determinism note: loss, duplication and latency are sampled from the
-// bus rng at Send time, so the sampling order — and therefore the fault
-// pattern — is reproducible only when Sends happen serially (from
-// barrier events or between runs). Sends from concurrent sharded
-// callbacks are race-safe but draw from the rng in worker order; keep
-// the bus fault-free with fixed latency if such a run must be
-// deterministic.
-func (b *Bus) Send(msg Message) error {
+// Every loss, duplication and latency draw is a pure function of the
+// bus seed and the send's position, so a fixed seed realizes the same
+// faults at any worker count. A send from an engine event passes the
+// event's lane: it is keyed by lane.Key and its delivery is scheduled
+// through the lane. A lane-less send (nil lane, or any send on an
+// engine-less bus) is keyed by the bus's count of such sends, so it
+// must come from a serial context: a barrier event or a caller outside
+// the run.
+func (b *Bus) Send(lane *sim.Lane, msg Message) error {
+	if b.engine == nil {
+		lane = nil
+	}
+	seq, n, keyed := lane.Key()
 	b.mu.Lock()
 	h, ok := b.nodes[msg.To]
 	if !ok {
@@ -367,6 +360,10 @@ func (b *Bus) Send(msg Message) error {
 	}
 	b.sent++
 	b.cSent.Inc()
+	if !keyed {
+		n = b.unkeyed
+		b.unkeyed++
+	}
 	if b.partition[msg.From] != b.partition[msg.To] {
 		b.dropped++
 		b.cDropPart.Inc()
@@ -379,44 +376,61 @@ func (b *Bus) Send(msg Message) error {
 		b.mu.Unlock()
 		return fmt.Errorf("%w: one-way partition %q -> %q", ErrDropped, msg.From, msg.To)
 	}
-	if b.lossProb > 0 && b.rng != nil && b.rng.Float64() < b.lossProb {
+	d := draws(mix64(mix64(b.seed^seq) + n))
+	if d.chance(drawLoss, b.lossProb) {
 		b.dropped++
 		b.cDropLoss.Inc()
 		b.mu.Unlock()
 		return fmt.Errorf("%w: loss", ErrDropped)
 	}
-	engine := b.engine
-	intake := b.intake
-	latency := b.sampleLatencyLocked()
-	duplicate := b.dupProb > 0 && b.rng != nil && b.rng.Float64() < b.dupProb
+	latency := b.latencyLocked(d, drawLatency)
+	duplicate := d.chance(drawDup, b.dupProb)
+	if b.intake != nil {
+		b.pending++
+		b.mu.Unlock()
+		if lane == nil {
+			return b.admit(nil, msg, h, latency, duplicate)
+		}
+		// Arrival order decides what a full queue sheds, so admission
+		// runs on the recipient's shard; its shed is booked, not returned.
+		lane.ScheduleShard(0, msg.To, func(l *sim.Lane) { _ = b.admit(l, msg, h, latency, duplicate) })
+		return nil
+	}
 	var dupLatency time.Duration
-	if duplicate && intake == nil {
+	if duplicate {
 		// An independent latency sample makes duplicates arrive out of
 		// order relative to the original.
-		dupLatency = b.sampleLatencyLocked()
+		dupLatency = b.latencyLocked(d, drawDupLatency)
 		b.duplicated++
 		b.cDup.Inc()
-	}
-	if intake != nil {
-		b.mu.Unlock()
-		return b.sendAdmitted(msg, h, engine, intake, latency, duplicate)
 	}
 	b.delivered++
 	b.cDelivered.Inc()
 	b.mu.Unlock()
 
-	if engine == nil {
+	if b.engine == nil {
 		h(msg, nil)
 		if duplicate {
 			h(msg, nil)
 		}
 		return nil
 	}
-	engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { h(msg, lane) })
+	deliver := func(l *sim.Lane) { h(msg, l) }
+	b.schedule(lane, latency, msg.To, deliver)
 	if duplicate {
-		engine.ScheduleShard(dupLatency, msg.To, func(lane *sim.Lane) { h(msg, lane) })
+		b.schedule(lane, dupLatency, msg.To, deliver)
 	}
 	return nil
+}
+
+// schedule queues fn on the recipient's shard: through the sender's
+// lane when it has one, straight on the engine for serial callers.
+func (b *Bus) schedule(lane *sim.Lane, delay time.Duration, to string, fn func(*sim.Lane)) {
+	if lane == nil {
+		b.engine.ScheduleShard(delay, to, fn)
+		return
+	}
+	lane.ScheduleShard(delay, to, fn)
 }
 
 // admittedMsg is one bus message queued behind the admission
@@ -427,27 +441,20 @@ type admittedMsg struct {
 	dup bool
 }
 
-// sendAdmitted runs the admission-controlled tail of Send: the message
-// is classified by topic and admitted or shed; admitted messages drain
-// to the handler in priority order — synchronously without an engine,
-// in batched drain events sharded by recipient with one.
-func (b *Bus) sendAdmitted(msg Message, h LaneHandler, engine *sim.Engine,
-	intake *admission.Controller, latency time.Duration, duplicate bool) error {
-	// Classify by string switch, not by interned ID: the admission
-	// package's BenchmarkClassifyTopic* shows an intern lookup per
-	// message (~40ns) costs more than comparing short topic strings
-	// directly (~6ns). Interned IDs pay off where they are held and
-	// reused — dense fleet indices, not one-shot classification.
+// admit offers a pending message to the recipient's intake queue: a
+// shed moves it from pending to shed; an admitted one drains to the
+// handler in priority order — synchronously without an engine, in
+// batched drain events sharded by recipient with one.
+func (b *Bus) admit(lane *sim.Lane, msg Message, h LaneHandler, latency time.Duration, duplicate bool) error {
+	intake := b.intake
 	class := admission.ClassifyTopic(msg.Topic)
 	if err := intake.Admit(msg.To, class, admittedMsg{msg: msg}); err != nil {
 		b.mu.Lock()
+		b.pending--
 		b.shed++
 		b.mu.Unlock()
 		return err
 	}
-	b.mu.Lock()
-	b.pending++
-	b.mu.Unlock()
 	if duplicate {
 		// The duplicate is a second admission attempt: under pressure
 		// it sheds like any other arrival instead of bypassing the
@@ -455,7 +462,7 @@ func (b *Bus) sendAdmitted(msg Message, h LaneHandler, engine *sim.Engine,
 		// duplicated only if it actually reaches the recipient.
 		_ = intake.Admit(msg.To, class, admittedMsg{msg: msg, dup: true})
 	}
-	if engine == nil {
+	if b.engine == nil {
 		for {
 			items := intake.Drain(msg.To)
 			if len(items) == 0 {
@@ -465,7 +472,7 @@ func (b *Bus) sendAdmitted(msg Message, h LaneHandler, engine *sim.Engine,
 		}
 	}
 	if intake.BeginDrain(msg.To) {
-		engine.ScheduleShard(latency, msg.To, func(lane *sim.Lane) { b.drainPass(msg.To, h, lane) })
+		b.schedule(lane, latency, msg.To, func(l *sim.Lane) { b.drainPass(msg.To, h, l) })
 	}
 	return nil
 }
@@ -510,7 +517,7 @@ func (b *Bus) deliverAdmitted(items []admission.Item, h LaneHandler, lane *sim.L
 
 // Stats returns the delivered and dropped message counts. Every Send
 // to an attached receiver counts exactly once as delivered, dropped,
-// shed, or still queued behind admission, so
+// shed, or still pending behind admission, so
 // sent == delivered + dropped + shed + pending at every instant
 // (duplicates are tracked separately by Duplicated; CheckConservation
 // asserts the invariant).
@@ -535,10 +542,11 @@ func (b *Bus) Shed() int {
 	return b.shed
 }
 
-// PendingAdmitted returns how many admitted originals are still
-// queued awaiting drain (0 without an admission controller;
-// fault-injected duplicates queue alongside but are not counted
-// here).
+// PendingAdmitted returns how many originals are offered to admission
+// but not yet delivered or shed: queued awaiting drain, or, for a lane
+// send, awaiting admission on the recipient's shard (0 without an
+// admission controller; fault-injected duplicates queue alongside but
+// are not counted here).
 func (b *Bus) PendingAdmitted() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -592,10 +600,36 @@ func (b *Bus) Duplicated() int {
 	return b.duplicated
 }
 
-func (b *Bus) sampleLatencyLocked() time.Duration {
-	if b.maxLatency <= b.minLatency || b.rng == nil {
+// latencyLocked returns a latency in [minLatency, maxLatency] from the
+// send's draw at slot i.
+func (b *Bus) latencyLocked(d draws, i uint64) time.Duration {
+	span := uint64(b.maxLatency - b.minLatency)
+	if span == 0 {
 		return b.minLatency
 	}
-	span := b.maxLatency - b.minLatency
-	return b.minLatency + time.Duration(b.rng.Int63n(int64(span)+1))
+	offset, _ := bits.Mul64(d.at(i), span+1)
+	return b.minLatency + time.Duration(offset)
+}
+
+// The draw slots of one send.
+const drawLoss, drawLatency, drawDup, drawDupLatency = 0, 1, 2, 3
+
+// draws is one send's SplitMix64 stream, started from a mix of the bus
+// seed and the send's position: every fault draw is a pure function of
+// those, never of the order in which workers reach the bus.
+type draws uint64
+
+// at returns the stream's i-th value.
+func (d draws) at(i uint64) uint64 { return mix64(uint64(d) + (i+1)*0x9e3779b97f4a7c15) }
+
+// chance reports whether slot i's draw falls under probability p.
+func (d draws) chance(i uint64, p float64) bool {
+	return p > 0 && float64(d.at(i)>>11)*0x1p-53 < p
+}
+
+// mix64 is SplitMix64's finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }

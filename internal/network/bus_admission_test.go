@@ -18,7 +18,7 @@ func TestBusNilRNGFaultsStillFire(t *testing.T) {
 	if err := bus.AttachLane("d", func(Message, *sim.Lane) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
-	if err := bus.Send(Message{From: "a", To: "d", Topic: "t"}); !errors.Is(err, ErrDropped) {
+	if err := bus.Send(nil, Message{From: "a", To: "d", Topic: "t"}); !errors.Is(err, ErrDropped) {
 		t.Fatalf("loss 1.0 on nil-rng bus delivered (err=%v) — fault was a silent no-op", err)
 	}
 	if delivered != 0 {
@@ -27,18 +27,18 @@ func TestBusNilRNGFaultsStillFire(t *testing.T) {
 }
 
 func TestBusNilRNGRuntimeFaultsStillFire(t *testing.T) {
-	bus := NewBus(nil) // no faults configured, rng legitimately nil
+	bus := NewBus(nil) // no faults configured: the bus uses its fixed seed
 	n := 0
 	if err := bus.AttachLane("d", func(Message, *sim.Lane) { n++ }); err != nil {
 		t.Fatal(err)
 	}
-	bus.SetLoss(1.0) // fault injection must default the rng
-	if err := bus.Send(Message{From: "a", To: "d", Topic: "t"}); !errors.Is(err, ErrDropped) {
+	bus.SetLoss(1.0) // an injected fault must still fire
+	if err := bus.Send(nil, Message{From: "a", To: "d", Topic: "t"}); !errors.Is(err, ErrDropped) {
 		t.Fatalf("SetLoss(1.0) on nil-rng bus delivered (err=%v)", err)
 	}
 	bus.SetLoss(0)
 	bus.SetDuplication(1.0)
-	if err := bus.Send(Message{From: "a", To: "d", Topic: "t"}); err != nil {
+	if err := bus.Send(nil, Message{From: "a", To: "d", Topic: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -62,13 +62,13 @@ func TestBusAdmissionSynchronousDelivery(t *testing.T) {
 	if err := bus.AttachLane("d", func(m Message, _ *sim.Lane) { got = append(got, m) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := bus.Send(Message{From: "h", To: "d", Topic: "command", Payload: 1}); err != nil {
+	if err := bus.Send(nil, Message{From: "h", To: "d", Topic: "command", Payload: 1}); err != nil {
 		t.Fatalf("first send: %v", err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("delivered %d, want synchronous delivery", len(got))
 	}
-	err = bus.Send(Message{From: "h", To: "d", Topic: "command", Payload: 2})
+	err = bus.Send(nil, Message{From: "h", To: "d", Topic: "command", Payload: 2})
 	if !errors.Is(err, admission.ErrRateLimited) {
 		t.Fatalf("second send = %v, want ErrRateLimited", err)
 	}
@@ -106,10 +106,10 @@ func TestBusAdmissionEvictionKeepsBooksExact(t *testing.T) {
 	// human arrival finds the single-slot queue full and evicts the
 	// queued gossip message.
 	engine.Schedule(0, func() {
-		if err := bus.Send(Message{From: "p", To: "d", Topic: "gossip"}); err != nil {
+		if err := bus.Send(nil, Message{From: "p", To: "d", Topic: "gossip"}); err != nil {
 			t.Errorf("gossip send: %v", err)
 		}
-		if err := bus.Send(Message{From: "h", To: "d", Topic: "command"}); err != nil {
+		if err := bus.Send(nil, Message{From: "h", To: "d", Topic: "command"}); err != nil {
 			t.Errorf("command send: %v", err)
 		}
 	})
@@ -158,7 +158,7 @@ func TestBusAdmissionEngineDrainConservation(t *testing.T) {
 		at := time.Duration(i) * 100 * time.Microsecond
 		engine.Schedule(at, func() {
 			for k := 0; k < 3; k++ {
-				if err := bus.Send(Message{From: "h", To: "d", Topic: "gossip"}); err != nil {
+				if err := bus.Send(nil, Message{From: "h", To: "d", Topic: "gossip"}); err != nil {
 					shed++
 				}
 			}

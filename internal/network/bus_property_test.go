@@ -46,7 +46,7 @@ func TestBusAccountingProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(s)))
 			for i := 0; i < perSender; i++ {
 				to := nodes[rng.Intn(len(nodes))]
-				err := bus.Send(Message{From: "sender", To: to, Topic: "t"})
+				err := bus.Send(nil, Message{From: "sender", To: to, Topic: "t"})
 				statMu.Lock()
 				switch {
 				case err == nil:

@@ -15,7 +15,7 @@ func TestBusSynchronousDelivery(t *testing.T) {
 	if err := b.AttachLane("a", func(m Message, _ *sim.Lane) { got = append(got, m) }); err != nil {
 		t.Fatalf("AttachLane: %v", err)
 	}
-	if err := b.Send(Message{From: "b", To: "a", Topic: "t", Payload: 42}); err != nil {
+	if err := b.Send(nil, Message{From: "b", To: "a", Topic: "t", Payload: 42}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if len(got) != 1 || got[0].Payload != 42 {
@@ -48,7 +48,7 @@ func TestBusAttachValidation(t *testing.T) {
 
 func TestBusUnknownNode(t *testing.T) {
 	b := NewBus(nil)
-	err := b.Send(Message{To: "ghost"})
+	err := b.Send(nil, Message{To: "ghost"})
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("err = %v", err)
 	}
@@ -64,14 +64,14 @@ func TestBusPartition(t *testing.T) {
 	}
 	b.Partition(map[string]int{"a": 0, "b": 1, "c": 0})
 
-	if err := b.Send(Message{From: "a", To: "b"}); !errors.Is(err, ErrDropped) {
+	if err := b.Send(nil, Message{From: "a", To: "b"}); !errors.Is(err, ErrDropped) {
 		t.Errorf("cross-partition send = %v", err)
 	}
-	if err := b.Send(Message{From: "a", To: "c"}); err != nil {
+	if err := b.Send(nil, Message{From: "a", To: "c"}); err != nil {
 		t.Errorf("same-partition send = %v", err)
 	}
 	b.Heal()
-	if err := b.Send(Message{From: "a", To: "b"}); err != nil {
+	if err := b.Send(nil, Message{From: "a", To: "b"}); err != nil {
 		t.Errorf("post-heal send = %v", err)
 	}
 	if delivered != 2 {
@@ -87,7 +87,7 @@ func TestBusLoss(t *testing.T) {
 	losses := 0
 	const trials = 1000
 	for i := 0; i < trials; i++ {
-		if err := b.Send(Message{From: "b", To: "a"}); errors.Is(err, ErrDropped) {
+		if err := b.Send(nil, Message{From: "b", To: "a"}); errors.Is(err, ErrDropped) {
 			losses++
 		}
 	}
@@ -109,7 +109,7 @@ func TestBusLatencyViaEngine(t *testing.T) {
 	if err := b.AttachLane("a", func(Message, *sim.Lane) { deliveredAt = clock.Now() }); err != nil {
 		t.Fatalf("AttachLane: %v", err)
 	}
-	if err := b.Send(Message{From: "b", To: "a"}); err != nil {
+	if err := b.Send(nil, Message{From: "b", To: "a"}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if !deliveredAt.IsZero() {

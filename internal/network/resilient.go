@@ -52,7 +52,7 @@ func (s *ReliableSender) Send(msg Message) error {
 			prevOnRetry(attempt, err)
 		}
 	}
-	err := retry.Do(func() error { return s.Bus.Send(msg) })
+	err := retry.Do(func() error { return s.Bus.Send(nil, msg) })
 	if breaker != nil {
 		breaker.Record(err)
 	}

@@ -381,7 +381,7 @@ func BridgeToBus(bus *Bus, opts ...BridgeOption) func(WireMessage) {
 		o.applyBridge(br)
 	}
 	return func(w WireMessage) {
-		err := bus.Send(Message{From: w.From, To: w.To, Topic: w.Topic, Payload: w.Payload})
+		err := bus.Send(nil, Message{From: w.From, To: w.To, Topic: w.Topic, Payload: w.Payload})
 		if err == nil {
 			return
 		}

@@ -43,7 +43,8 @@ type Engine struct {
 	parallelism int
 
 	// directLane is the shared pass-through lane of serial execution;
-	// it is stateless, so every serial keyed callback can borrow it.
+	// it holds only the running event's key position, so every serial
+	// keyed callback can borrow it in turn.
 	directLane Lane
 	// laneFree, segGroupOf, segGroups and segLanes are scratch reused
 	// across parallel segments. They are touched only on the run
@@ -86,8 +87,8 @@ func (e *Engine) Parallelism() int { return e.parallelism }
 //
 // Determinism note: calling Schedule from inside a sharded callback
 // during a parallel run is safe (the queue is locked) but assigns
-// sequence numbers in worker completion order; use Lane.Schedule there
-// to keep runs reproducible.
+// sequence numbers in worker completion order; schedule through the
+// lane there to keep runs reproducible.
 func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	e.mu.Lock()
 	e.push(delay, "", fn, nil)
@@ -228,10 +229,10 @@ func (e *Engine) Run(horizon time.Time) error {
 // (pass-through) lane, so serial and parallel runs share one code path
 // in callers.
 func (e *Engine) execSerial(item *scheduled) {
-	fn, lfn := item.fn, item.lfn
+	fn, lfn, seq := item.fn, item.lfn, item.seq
 	e.release(item)
 	if lfn != nil {
-		lfn(&e.directLane)
+		lfn(e.directLane.serve(seq))
 		return
 	}
 	fn()

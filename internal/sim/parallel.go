@@ -23,9 +23,11 @@ import (
 // event. Callbacks receive their lane and must route ordered side
 // effects through it:
 //
-//   - future events:  lane.Schedule / lane.ScheduleShard
+//   - future events:  lane.ScheduleShard (an empty shard is a barrier)
 //   - audit appends:  lane.Route(log) in place of the log itself
 //     (Lane implements audit.Journal)
+//   - keyed draws:    lane.Key, a position that is the same at any
+//     worker count (the bus keys its fault draws by it)
 //
 // Everything else a sharded callback touches must be either owned by
 // its shard key (a device's state, a recipient's mailbox) or safe and
@@ -35,10 +37,15 @@ import (
 //
 // In serial runs the engine passes a direct lane whose methods are
 // zero-cost pass-throughs, so one callback implementation serves both
-// modes. A nil *Lane behaves like a direct lane.
+// modes. A nil *Lane (a caller outside any event) routes appends
+// straight to the log and has no key; it cannot schedule.
 type Lane struct {
 	eng    *Engine
 	direct bool
+	// seq is the sequence number of the event the lane serves; keys
+	// counts the Key calls the event made so far.
+	seq  int
+	keys int
 
 	staged   []stagedCall
 	journals []laneJournal
@@ -46,12 +53,11 @@ type Lane struct {
 
 var _ audit.Journal = (*Lane)(nil)
 
-// stagedCall is one deferred Schedule/ScheduleShard call.
+// stagedCall is one deferred ScheduleShard call.
 type stagedCall struct {
 	delay time.Duration
 	shard string
-	fn    func()
-	lfn   func(*Lane)
+	fn    func(*Lane)
 }
 
 // laneJournal pairs a destination log with its per-lane staging
@@ -61,24 +67,32 @@ type laneJournal struct {
 	stage *audit.Log
 }
 
-// Schedule queues fn relative to the current virtual time, exactly
-// like Engine.Schedule, but deterministically ordered after the batch.
-func (l *Lane) Schedule(delay time.Duration, fn func()) {
-	if l == nil || l.direct {
-		l.engine().Schedule(delay, fn)
-		return
-	}
-	l.staged = append(l.staged, stagedCall{delay: delay, fn: fn})
-}
-
 // ScheduleShard queues a sharded callback, like Engine.ScheduleShard,
 // deterministically ordered after the batch.
 func (l *Lane) ScheduleShard(delay time.Duration, shard string, fn func(*Lane)) {
-	if l == nil || l.direct {
-		l.engine().ScheduleShard(delay, shard, fn)
+	if l.direct {
+		l.eng.ScheduleShard(delay, shard, fn)
 		return
 	}
-	l.staged = append(l.staged, stagedCall{delay: delay, shard: shard, lfn: fn})
+	l.staged = append(l.staged, stagedCall{delay: delay, shard: shard, fn: fn})
+}
+
+// Key returns a position that no other Key call of the run shares and
+// that is the same at any worker count: the sequence number of the
+// event the lane serves, and how many keys that event took before this
+// one. A nil lane has no position and reports ok false.
+func (l *Lane) Key() (seq, n uint64, ok bool) {
+	if l == nil {
+		return 0, 0, false
+	}
+	l.keys++
+	return uint64(l.seq), uint64(l.keys - 1), true
+}
+
+// serve readies the lane for one event.
+func (l *Lane) serve(seq int) *Lane {
+	l.seq, l.keys = seq, 0
+	return l
 }
 
 // Route implements audit.Journal: appends the callback would make to
@@ -99,15 +113,6 @@ func (l *Lane) Route(base *audit.Log) *audit.Log {
 	return stage
 }
 
-// engine tolerates nil lanes (callers outside any run, e.g. a
-// synchronous bus delivery) by treating them as direct.
-func (l *Lane) engine() *Engine {
-	if l == nil {
-		return nil
-	}
-	return l.eng
-}
-
 // flush merges the lane's buffered effects into the engine: staged
 // audit entries chain onto their destination logs, staged schedules
 // get fresh sequence numbers. Called on the run goroutine, one lane at
@@ -116,7 +121,9 @@ func (l *Lane) engine() *Engine {
 // The lane keeps its buffers afterwards (truncated, closure references
 // dropped): pooled lanes reuse their staging slices and — because
 // Adopt leaves an adopted stage empty but intact — their per-log stage
-// journals across segments.
+// journals across segments. A staging slice that grew past 64 calls
+// (an event that sent a whole fan-out batch) is dropped instead, so the
+// pool does not pin it for events that stage one or two.
 func (l *Lane) flush(e *Engine) {
 	for _, j := range l.journals {
 		j.base.Adopt(j.stage)
@@ -124,17 +131,15 @@ func (l *Lane) flush(e *Engine) {
 	if len(l.staged) > 0 {
 		e.mu.Lock()
 		for _, c := range l.staged {
-			if c.lfn != nil {
-				e.push(c.delay, c.shard, nil, c.lfn)
-			} else {
-				e.push(c.delay, "", c.fn, nil)
-			}
+			e.push(c.delay, c.shard, nil, c.fn)
 		}
 		e.mu.Unlock()
 	}
-	for i := range l.staged {
-		l.staged[i] = stagedCall{}
+	if cap(l.staged) > 64 {
+		l.staged = nil
+		return
 	}
+	clear(l.staged)
 	l.staged = l.staged[:0]
 }
 
@@ -263,7 +268,7 @@ func (e *Engine) runSegment(seg []*scheduled) {
 	}
 	lanes := e.segLanes[:len(seg)]
 	for k := range lanes {
-		lanes[k] = e.acquireLane()
+		lanes[k] = e.acquireLane().serve(seg[k].seq)
 	}
 
 	// Static round-robin partition of shard groups over the workers: a

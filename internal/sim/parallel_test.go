@@ -51,8 +51,13 @@ func runScenario(t *testing.T, seed int64, workers int) scenarioResult {
 			func(lane *Lane) {
 				tick++
 				tally[s]++
+				// The lane's key positions are part of the journal, so the
+				// differential also proves them equal at any worker count.
+				seq, n, _ := lane.Key()
+				_, n2, _ := lane.Key()
 				audit.Resolve(lane, log).Append(audit.KindAction, shard,
-					fmt.Sprintf("tick %d", tick), map[string]string{"n": fmt.Sprint(tick)})
+					fmt.Sprintf("tick %d", tick), map[string]string{"n": fmt.Sprint(tick),
+						"key": fmt.Sprintf("%d/%d,%d", seq, n, n2)})
 				if tick%extraEvery[s] == 0 {
 					// Same-time keyed follow-up: the engine must re-drain
 					// the timestamp and keep it after this event.
@@ -63,8 +68,8 @@ func runScenario(t *testing.T, seed int64, workers int) scenarioResult {
 					})
 				}
 				if tick == ticksFor[s] {
-					// Future unkeyed follow-up staged from a shard.
-					lane.Schedule(500*time.Millisecond, func() {
+					// Future barrier follow-up staged from a shard.
+					lane.ScheduleShard(500*time.Millisecond, "", func(*Lane) {
 						log.Append(audit.KindCheckpoint, shard, "done", nil)
 					})
 				}
@@ -124,7 +129,7 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestLaneDirectAndNil checks the pass-through modes: a nil lane and a
 // serial (direct) lane must behave exactly like calling the engine and
-// log directly.
+// log directly, and a direct lane's keys restart with each event.
 func TestLaneDirectAndNil(t *testing.T) {
 	clock := NewClock(t0)
 	e := NewEngine(clock)
@@ -137,20 +142,39 @@ func TestLaneDirectAndNil(t *testing.T) {
 	if got := audit.Resolve(nilLane, nil); got != nil {
 		t.Error("nil base log must stay nil through a lane")
 	}
+	if _, _, ok := nilLane.Key(); ok {
+		t.Error("nil lane reported a key position")
+	}
 
 	ran := 0
+	var keys [][2]uint64
+	key := func(lane *Lane) {
+		seq, n, ok := lane.Key()
+		if !ok {
+			t.Error("direct lane reported no key position")
+		}
+		keys = append(keys, [2]uint64{seq, n})
+	}
 	e.ScheduleShard(time.Second, "d1", func(lane *Lane) {
 		if got := lane.Route(log); got != log {
 			t.Error("direct lane did not pass the log through")
 		}
-		lane.Schedule(time.Second, func() { ran++ })
-		lane.ScheduleShard(time.Second, "d1", func(*Lane) { ran++ })
+		key(lane)
+		key(lane)
+		lane.ScheduleShard(time.Second, "", func(*Lane) { ran++ })
+		lane.ScheduleShard(time.Second, "d1", func(inner *Lane) {
+			ran++
+			key(inner)
+		})
 	})
 	if err := e.Run(t0.Add(time.Minute)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if ran != 2 {
 		t.Errorf("ran = %d, want 2", ran)
+	}
+	if want := [][2]uint64{{1, 0}, {1, 1}, {3, 0}}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("keys = %v, want %v", keys, want)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/intern"
 )
 
 // Pos is a grid coordinate.
@@ -78,28 +76,26 @@ type HarmEvent struct {
 // are safe for concurrent use. Movement and harm are deterministic
 // given the injected random source.
 //
-// Entities live in dense slices indexed through interned IDs rather
-// than per-entity maps: iteration (the per-step hot path) walks
-// contiguous memory in a canonical sorted-by-ID order with no per-step
-// allocation or sorting, and — unlike the previous map ranges — the
-// order hazards are tested against a human, and the order strike
-// victims are recorded, are deterministic by construction.
+// Entities live in dense slices, found through an ID-to-slot map per
+// kind, rather than in per-entity maps: iteration (the per-step hot
+// path) walks contiguous memory in a canonical sorted-by-ID order with
+// no per-step allocation or sorting, and — unlike the previous map
+// ranges — the order hazards are tested against a human, and the order
+// strike victims are recorded, are deterministic by construction.
 type World struct {
 	mu    sync.Mutex
 	w, h  int
 	rng   *rand.Rand
 	clock *Clock
 
-	// names interns entity IDs; humanIdx/hazardIdx map interned IDs to
-	// dense-slice positions.
-	names    *intern.Table
+	// humanIdx/hazardIdx map entity IDs to dense-slice positions.
 	humans   []Human // dense, append-only
-	humanIdx map[intern.ID]int32
+	humanIdx map[string]int32
 	// humanOrder holds indices into humans sorted by human ID — the
 	// canonical walk order for stepping, striking and listing.
 	humanOrder []int32
 	hazards    []Hazard // dense, kept sorted by hazard ID
-	hazardIdx  map[intern.ID]int32
+	hazardIdx  map[string]int32
 
 	harms []HarmEvent
 	// markedAvoidProb is the probability a human avoids a marked
@@ -138,9 +134,8 @@ func NewWorld(w, h int, rng *rand.Rand, clock *Clock, opts ...WorldOption) (*Wor
 		w: w, h: h,
 		rng:             rng,
 		clock:           clock,
-		names:           intern.NewTable(),
-		humanIdx:        make(map[intern.ID]int32),
-		hazardIdx:       make(map[intern.ID]int32),
+		humanIdx:        make(map[string]int32),
+		hazardIdx:       make(map[string]int32),
 		markedAvoidProb: 0.95,
 	}
 	for _, o := range opts {
@@ -159,13 +154,12 @@ func (w *World) AddHuman(id string, pos Pos, stationary bool) error {
 	if id == "" {
 		return fmt.Errorf("sim: human needs an ID")
 	}
-	key := w.names.Of(id)
-	if _, dup := w.humanIdx[key]; dup {
+	if _, dup := w.humanIdx[id]; dup {
 		return fmt.Errorf("sim: duplicate human %q", id)
 	}
 	n := int32(len(w.humans))
 	w.humans = append(w.humans, Human{ID: id, Pos: w.clampLocked(pos), Stationary: stationary})
-	w.humanIdx[key] = n
+	w.humanIdx[id] = n
 	// Insert into the canonical order at the sorted position.
 	at := sort.Search(len(w.humanOrder), func(i int) bool {
 		return w.humans[w.humanOrder[i]].ID >= id
@@ -183,17 +177,16 @@ func (w *World) AddHazard(id string, pos Pos, kind HazardKind, severity float64)
 	if id == "" {
 		return fmt.Errorf("sim: hazard needs an ID")
 	}
-	key := w.names.Of(id)
-	if _, dup := w.hazardIdx[key]; dup {
+	if _, dup := w.hazardIdx[id]; dup {
 		return fmt.Errorf("sim: duplicate hazard %q", id)
 	}
 	at := sort.Search(len(w.hazards), func(i int) bool { return w.hazards[i].ID >= id })
 	w.hazards = append(w.hazards, Hazard{})
 	copy(w.hazards[at+1:], w.hazards[at:])
 	w.hazards[at] = Hazard{ID: id, Pos: w.clampLocked(pos), Kind: kind, Severity: severity}
-	w.hazardIdx[key] = int32(at)
+	w.hazardIdx[id] = int32(at)
 	for i := at + 1; i < len(w.hazards); i++ {
-		w.hazardIdx[w.names.Of(w.hazards[i].ID)] = int32(i)
+		w.hazardIdx[w.hazards[i].ID] = int32(i)
 	}
 	return nil
 }
@@ -203,7 +196,7 @@ func (w *World) AddHazard(id string, pos Pos, kind HazardKind, severity float64)
 func (w *World) MarkHazard(id string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	i, ok := w.hazardIdx[w.names.Lookup(id)]
+	i, ok := w.hazardIdx[id]
 	if ok {
 		w.hazards[i].Marked = true
 	}
@@ -215,16 +208,15 @@ func (w *World) MarkHazard(id string) bool {
 func (w *World) RemoveHazard(id string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := w.names.Lookup(id)
-	at, ok := w.hazardIdx[key]
+	at, ok := w.hazardIdx[id]
 	if !ok {
 		return false
 	}
 	copy(w.hazards[at:], w.hazards[at+1:])
 	w.hazards = w.hazards[:len(w.hazards)-1]
-	delete(w.hazardIdx, key)
+	delete(w.hazardIdx, id)
 	for i := int(at); i < len(w.hazards); i++ {
-		w.hazardIdx[w.names.Of(w.hazards[i].ID)] = int32(i)
+		w.hazardIdx[w.hazards[i].ID] = int32(i)
 	}
 	return true
 }

@@ -95,7 +95,7 @@ var defs = []Def{
 	{Name: "bundle.bad_payload", Kind: KindCounter, Help: "Bundle-plane messages carrying a payload of the wrong type — dropped, counted and audited."},
 	{Name: "bundle.repairs", Kind: KindCounter, Help: "Anti-entropy repair pushes to devices behind the current revision."},
 	{Name: "bundle.pulls", Kind: KindCounter, Help: "Pull-repair requests received from devices that detected a gap."},
-	{Name: "bundle.send_failed", Kind: KindCounter, Labels: []string{"topic"}, Help: "Distribution-plane sends the bus refused, by topic; survivable (repair re-pushes, re-acks and pull retries cover them) but never silent."},
+	{Name: "bundle.send_failed", Kind: KindCounter, Labels: []string{"topic"}, Help: "Distribution-plane sends the bus refused, by topic; survivable (repair re-pushes, re-acks and pull retries cover them) but never silent. A send from an engine event that admission sheds is booked by the bus and admission.shed, not here."},
 	{Name: "bundle.revision", Kind: KindGauge, Labels: []string{"root"}, Help: "Current published revision per org root."},
 	{Name: "bundle.lagging", Kind: KindGauge, Labels: []string{"root"}, Help: "Devices whose acknowledged revision trails the published one, per org root."},
 
