@@ -31,10 +31,11 @@ bench-smoke:
 
 # The allocation gate: one exact run of each benchmark budgeted in
 # bench_budget.json — the 10k-device parallel fleet, its construction,
-# and a subscriber's delta activation on a cold and a warm record
-# table. Keeps the memory-compact state plane and the distribution
-# path honest — an accidental per-tick or per-activation allocation
-# fails `make test`, not a benchmark review three PRs later.
+# a subscriber's delta activation on a cold and a warm record table,
+# and one warm parallel engine period of 10k shards. Keeps the
+# memory-compact state plane, the distribution path and the engine's
+# merge honest — an accidental per-tick, per-activation or per-segment
+# allocation fails `make test`, not a benchmark review three PRs later.
 alloc-gate:
 	sh scripts/alloc_gate.sh bench_budget.json
 
@@ -97,11 +98,12 @@ serve-smoke:
 # lagging books under a two-worker engine; agents sharing the
 # process's compiled-record table from concurrent goroutines;
 # skynetsim's differentials, which run every combination of scenario
-# blocks at 1, 2 and 4 workers; and the keyed bus fault draws, from
-# sharded senders to one sink and from a two-root fan-out.
+# blocks at 1, 2 and 4 workers; the keyed bus fault draws, from
+# sharded senders to one sink and from a two-root fan-out; and the
+# engine's queue order against a reference (time, seq) heap.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario|TestBusShardedSendersDeterministic|TestDistributorTwoRootsDeterministic' \
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario|TestBusShardedSendersDeterministic|TestDistributorTwoRootsDeterministic|TestQueueOrder' \
 		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./internal/network ./cmd/skynetsim
 
 race:

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
 	"sync"
 	"time"
@@ -70,14 +71,16 @@ type Entry struct {
 type Log struct {
 	mu      sync.Mutex
 	now     func() time.Time
-	staged  bool
 	entries []Entry
 	scratch hasher // hash scratch reused across appends (guarded by mu)
+	// stage is non-nil on a staging log (NewStage): it holds each
+	// buffered entry's rendered chain encoding.
+	stage *stageBuf
 }
 
 // Journal routes audit appends: given the log an append would normally
 // target, it returns the log that should receive it instead — e.g. a
-// per-lane staging buffer during parallel simulation (sim.Lane
+// worker's staging log during parallel simulation (sim.Lane
 // implements this). Implementations must return nil for a nil base, so
 // "auditing disabled" survives routing.
 type Journal interface {
@@ -119,14 +122,16 @@ func New(opts ...Option) *Log {
 }
 
 // NewStage returns a staging log: Append buffers entries (stamping
-// their time from the clock) without hashing or chaining them, so a
-// stage is cheap to fill concurrently with other stages. Stages are
+// their time from the clock) without chaining them, and renders each
+// one's chain encoding except Seq and PrevHash, so a stage is cheap to
+// fill concurrently with other stages and cheap to merge. Stages are
 // not verifiable; their purpose is to be merged into a real log with
-// Adopt, which chains the buffered entries deterministically. The sim
-// engine gives every parallel lane its own stage.
+// Chain, which seals ranges of buffered entries onto the log's chain
+// deterministically. The sim engine gives each parallel worker one
+// stage per destination log.
 func NewStage(opts ...Option) *Log {
 	l := New(opts...)
-	l.staged = true
+	l.stage = &stageBuf{}
 	return l
 }
 
@@ -177,7 +182,9 @@ func (l *Log) appendLocked(at time.Time, kind Kind, actor, detail string, contex
 			e.Context = context
 		}
 	}
-	if !l.staged {
+	if l.stage != nil {
+		l.stage.render(&e)
+	} else {
 		if len(l.entries) > 0 {
 			e.PrevHash = l.entries[len(l.entries)-1].Hash
 		}
@@ -187,38 +194,46 @@ func (l *Log) appendLocked(at time.Time, kind Kind, actor, detail string, contex
 	return e
 }
 
-// Adopt drains a staging log into l: every buffered entry is moved
-// over in order, preserving its recorded time, and chained onto l's
-// current tip. The stage is reset for reuse, retaining its buffer
-// capacity. Adopting a stage into the log it was buffered for yields
-// the exact chain a serial run would have produced. It returns the
-// number of entries adopted.
-func (l *Log) Adopt(stage *Log) int {
-	if stage == nil || stage == l {
-		return 0
+// Chain seals the staged entries [from, to) of stage onto l's chain,
+// in order and with their recorded times: each gets its Seq and
+// PrevHash and is hashed over the content encoding the stage rendered,
+// so l ends up exactly as if the entries had been appended to it one by
+// one. The stage keeps its entries until Reset; l must not be a stage.
+func (l *Log) Chain(stage *Log, from, to int) {
+	if stage == nil || stage == l || from >= to {
+		return
 	}
 	stage.mu.Lock()
-	entries := stage.entries
-	stage.entries = entries[:0]
-	stage.mu.Unlock()
-
+	defer stage.mu.Unlock()
+	if stage.stage == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range entries {
-		e := &entries[i]
+	for i := from; i < to; i++ {
+		e := stage.entries[i]
 		e.Seq = len(l.entries)
-		if len(l.entries) > 0 {
-			e.PrevHash = l.entries[len(l.entries)-1].Hash
-		} else {
-			e.PrevHash = ""
+		if e.Seq > 0 {
+			e.PrevHash = l.entries[e.Seq-1].Hash
 		}
-		e.Hash = l.scratch.hash(e)
-		l.entries = append(l.entries, *e)
-		// Drop the moved entry's references so the reusable stage
-		// buffer does not pin maps/strings now owned by l.
-		*e = Entry{}
+		e.Hash = stage.stage.seal(i, e.Seq, e.PrevHash)
+		l.entries = append(l.entries, e)
 	}
-	return len(entries)
+}
+
+// Reset empties a staging log for reuse, keeping its buffers and
+// dropping its references to entry contents. It does nothing on a
+// chained log, which is append-only.
+func (l *Log) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.stage == nil {
+		return
+	}
+	clear(l.entries)
+	l.entries = l.entries[:0]
+	l.stage.enc = l.stage.enc[:0]
+	l.stage.at = l.stage.at[:0]
 }
 
 // Len returns the number of entries.
@@ -382,22 +397,42 @@ func VerifyTail(from int, prevHash string, entries []Entry) error {
 // cheaper than the reflective JSON marshal it replaces. Time is hashed
 // as UnixNano, which survives JSON round-trips (encoding drops only
 // the monotonic reading), so exported logs still verify elsewhere.
+//
+// The encoding is Seq, then the content fields (appendContent), then
+// PrevHash; a staging log renders the content when an entry is
+// appended and adds the other two when it is sealed (see stageBuf).
 type hasher struct {
 	buf  []byte
 	keys []string
 }
 
-func (h *hasher) str(s string) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-	h.buf = append(h.buf, n[:]...)
-	h.buf = append(h.buf, s...)
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-func (h *hasher) u64(v uint64) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], v)
-	h.buf = append(h.buf, n[:]...)
+// appendContent appends the encoding of every hashed field of e
+// between Seq and PrevHash; keys is the scratch that sorts the context
+// keys.
+func appendContent(b []byte, e *Entry, keys *[]string) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(e.Time.UnixNano()))
+	b = appendStr(b, string(e.Kind))
+	b = appendStr(b, e.Actor)
+	b = appendStr(b, e.Detail)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(e.Context)))
+	if len(e.Context) > 0 {
+		ks := (*keys)[:0]
+		for k := range e.Context {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		for _, k := range ks {
+			b = appendStr(b, k)
+			b = appendStr(b, e.Context[k])
+		}
+		*keys = ks
+	}
+	return b
 }
 
 // hexHashLen is the length of a rendered chain hash (hex SHA-256).
@@ -421,27 +456,59 @@ func (h *hasher) matches(e *Entry) bool {
 }
 
 func (h *hasher) encode(e *Entry, out *[hexHashLen]byte) {
-	h.buf = h.buf[:0]
-	h.u64(uint64(e.Seq))
-	h.u64(uint64(e.Time.UnixNano()))
-	h.str(string(e.Kind))
-	h.str(e.Actor)
-	h.str(e.Detail)
-	h.u64(uint64(len(e.Context)))
-	if len(e.Context) > 0 {
-		h.keys = h.keys[:0]
-		for k := range e.Context {
-			h.keys = append(h.keys, k)
-		}
-		sort.Strings(h.keys)
-		for _, k := range h.keys {
-			h.str(k)
-			h.str(e.Context[k])
-		}
-	}
-	h.str(e.PrevHash)
+	h.buf = binary.BigEndian.AppendUint64(h.buf[:0], uint64(e.Seq))
+	h.buf = appendContent(h.buf, e, &h.keys)
+	h.buf = appendStr(h.buf, e.PrevHash)
 	sum := sha256.Sum256(h.buf)
 	hex.Encode(out[:], sum[:])
+}
+
+// stageBuf is a staging log's rendered chain encodings: entry i's
+// content encoding (appendContent) starts at at[i] and runs to at[i+1]
+// (the last one to the end of enc). Sealing an entry streams its Seq,
+// that content and its PrevHash through one reused digest, so nothing
+// on the merge path re-encodes an entry.
+type stageBuf struct {
+	enc  []byte
+	at   []int
+	keys []string
+
+	digest hash.Hash
+	// seq and prev frame the content in the hashed encoding; sum
+	// receives the digest.
+	seq  [8]byte
+	prev [4 + hexHashLen]byte
+	sum  [sha256.Size]byte
+}
+
+// render appends e's content encoding.
+func (s *stageBuf) render(e *Entry) {
+	s.at = append(s.at, len(s.enc))
+	s.enc = appendContent(s.enc, e, &s.keys)
+}
+
+// seal returns the chain hash of entry i at position seq after prev,
+// which is "" or a chain hash.
+func (s *stageBuf) seal(i, seq int, prev string) string {
+	end := len(s.enc)
+	if i+1 < len(s.at) {
+		end = s.at[i+1]
+	}
+	if s.digest == nil {
+		s.digest = sha256.New()
+	}
+	// A hash.Hash's Write never returns an error.
+	s.digest.Reset()
+	binary.BigEndian.PutUint64(s.seq[:], uint64(seq))
+	s.digest.Write(s.seq[:])
+	s.digest.Write(s.enc[s.at[i]:end])
+	binary.BigEndian.PutUint32(s.prev[:], uint32(len(prev)))
+	n := 4 + copy(s.prev[4:], prev)
+	s.digest.Write(s.prev[:n])
+	s.digest.Sum(s.sum[:0])
+	var out [hexHashLen]byte
+	hex.Encode(out[:], s.sum[:])
+	return string(out[:])
 }
 
 var hasherPool = sync.Pool{New: func() any { return new(hasher) }}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/policylang"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -190,6 +191,13 @@ func TestMetricNamesUnified(t *testing.T) {
 	// the device's residual, so at least one specialization compiled.
 	if v := reg.Counter("policy.residual_compiles", "device", "d1").Value(); v == 0 {
 		t.Error("policy.residual_compiles never incremented: commands did not decide through a residual")
+	}
+
+	// An orchestrator registers the engine's segment series.
+	engine := sim.NewEngine(sim.NewClock(time.Time{}))
+	engine.SetParallelism(2)
+	if _, err := NewOrchestrator(c, engine); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := telemetry.CheckNames(reg.Names()); err != nil {

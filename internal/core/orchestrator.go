@@ -26,10 +26,14 @@ type Orchestrator struct {
 }
 
 // NewOrchestrator builds an orchestrator over the collective and
-// engine.
+// engine. When the collective has a telemetry Registry, the engine
+// records its parallel-segment series there (sim.Engine.Instrument).
 func NewOrchestrator(collective *Collective, engine *sim.Engine) (*Orchestrator, error) {
 	if collective == nil || engine == nil {
 		return nil, errors.New("core: orchestrator needs a collective and an engine")
+	}
+	if collective.metrics != nil {
+		engine.Instrument(collective.metrics)
 	}
 	return &Orchestrator{
 		collective: collective,

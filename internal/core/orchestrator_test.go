@@ -8,6 +8,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/statespace"
+	"repro/internal/telemetry"
 )
 
 func TestOrchestratorValidation(t *testing.T) {
@@ -129,5 +130,37 @@ func TestOrchestratorWatchdogKillsUnrepairable(t *testing.T) {
 	}
 	if !d.Deactivated() {
 		t.Error("unrepairable bad-state device survived the sweeps")
+	}
+}
+
+// TestOrchestratorInstrumentsEngine checks that an orchestrator over a
+// collective with a Registry has the engine record its segment series
+// there: one observation per period of a parallel fleet tick.
+func TestOrchestratorInstrumentsEngine(t *testing.T) {
+	start := time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC)
+	engine := sim.NewEngine(sim.NewClock(start))
+	engine.SetParallelism(2)
+	reg := telemetry.NewRegistry()
+	c := newCollective(t, func(cfg *Config) { cfg.Telemetry = reg })
+	o, err := NewOrchestrator(c, engine)
+	if err != nil {
+		t.Fatalf("NewOrchestrator: %v", err)
+	}
+	for _, id := range []string{"w1", "w2", "w3"} {
+		if err := c.AddDevice(newMember(t, c, id, 10), nil); err != nil {
+			t.Fatalf("AddDevice: %v", err)
+		}
+		if err := o.Manage(id, time.Second, heatClassifier(), nil); err != nil {
+			t.Fatalf("Manage: %v", err)
+		}
+	}
+	if err := o.Run(start.Add(3 * time.Second)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := reg.Histogram("engine.segment_events").Count(); got != 3 {
+		t.Errorf("engine.segment_events observations = %d, want 3", got)
+	}
+	if got := reg.Histogram("engine.segment_ms", "phase", "merge").Count(); got != 3 {
+		t.Errorf("engine.segment_ms{phase=merge} observations = %d, want 3", got)
 	}
 }

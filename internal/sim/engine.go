@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // ErrStopped is returned by Run when the engine was stopped before the
@@ -20,7 +21,7 @@ var ErrStopped = errors.New("sim: engine stopped")
 // parallel execution: events scheduled with a shard key (ScheduleShard,
 // ScheduleEveryShard) that share a timestamp are drained across a
 // bounded worker pool — same-shard events stay ordered on one worker,
-// unkeyed events act as serial barriers — and every lane's deferred
+// unkeyed events act as serial barriers — and every event's staged
 // schedules and audit appends are merged back in (time, seq) order.
 // A fixed seed therefore yields byte-identical audit journals and
 // deterministic metric snapshots at any worker count (see Lane for the
@@ -28,13 +29,12 @@ var ErrStopped = errors.New("sim: engine stopped")
 type Engine struct {
 	clock *Clock
 
-	// mu guards the queue, the seq counter and the free list. The
-	// serial hot path is uncontended; it exists so transports and
-	// resilience layers may schedule from other goroutines.
+	// mu guards the queue and the seq counter. The serial hot path is
+	// uncontended; it exists so transports and resilience layers may
+	// schedule from other goroutines.
 	mu    sync.Mutex
-	queue eventQueue
+	queue runQueue
 	seq   int
-	free  *scheduled
 
 	// stop is sticky until consumed: each Stop cancels the current
 	// run, or — when called between runs — the next one.
@@ -46,14 +46,21 @@ type Engine struct {
 	// it holds only the running event's key position, so every serial
 	// keyed callback can borrow it in turn.
 	directLane Lane
-	// laneFree, segGroupOf, segGroups and segLanes are scratch reused
-	// across parallel segments. They are touched only on the run
-	// goroutine (worker goroutines see their pre-assigned lanes via the
-	// happens-before edge of goroutine creation), so they need no lock.
-	laneFree   []*Lane
+	// batch, segAt, segGroupOf, segGroups, segLanes and workers are
+	// scratch reused across parallel batches and segments. The run
+	// goroutine sets them up between segments (workers see them via the
+	// happens-before edge of goroutine creation); during a segment,
+	// worker w writes only workers[w] and its events' lanes, which the
+	// run goroutine reads after they finish. So they need no lock.
+	batch      []scheduled
+	segAt      time.Time
 	segGroupOf map[string]int
 	segGroups  [][]int
-	segLanes   []*Lane
+	segLanes   []Lane
+	workers    []worker
+
+	// Segment telemetry (see Instrument); nil histograms cost nothing.
+	segEvents, segRunMS, segMergeMS *telemetry.Histogram
 }
 
 // NewEngine returns an engine over the clock.
@@ -109,42 +116,16 @@ func (e *Engine) ScheduleShard(delay time.Duration, shard string, fn func(*Lane)
 
 // push queues one callback; the caller holds e.mu.
 func (e *Engine) push(delay time.Duration, shard string, fn func(), lfn func(*Lane)) {
+	e.pushAt(e.clock.Now(), delay, shard, fn, lfn)
+}
+
+// pushAt is push relative to now, which the caller read from the clock.
+func (e *Engine) pushAt(now time.Time, delay time.Duration, shard string, fn func(), lfn func(*Lane)) {
 	if delay < 0 {
 		delay = 0
 	}
 	e.seq++
-	item := e.acquire()
-	item.at = e.clock.Now().Add(delay)
-	item.seq = e.seq
-	item.shard = shard
-	item.fn = fn
-	item.lfn = lfn
-	heap.Push(&e.queue, item)
-}
-
-// acquire pops a recycled scheduled struct or allocates a fresh one.
-func (e *Engine) acquire() *scheduled {
-	if e.free == nil {
-		return &scheduled{}
-	}
-	item := e.free
-	e.free = item.nextFree
-	item.nextFree = nil
-	return item
-}
-
-// release recycles an executed event's struct, dropping closure and
-// key references so they can be collected.
-func (e *Engine) release(item *scheduled) {
-	item.fn = nil
-	item.lfn = nil
-	item.shard = ""
-	item.at = time.Time{}
-	item.seq = 0
-	e.mu.Lock()
-	item.nextFree = e.free
-	e.free = item
-	e.mu.Unlock()
+	e.queue.push(now.Add(delay), scheduled{seq: e.seq, shard: shard, fn: fn, lfn: lfn})
 }
 
 // ScheduleEvery queues fn to run every interval until the predicate
@@ -209,73 +190,242 @@ func (e *Engine) Run(horizon time.Time) error {
 			return ErrStopped
 		}
 		e.mu.Lock()
-		if e.queue.Len() == 0 {
+		r := e.queue.peek()
+		if r == nil || r.at.After(horizon) {
 			e.mu.Unlock()
 			return nil
 		}
-		next := e.queue[0]
-		if next.at.After(horizon) {
-			e.mu.Unlock()
-			return nil
-		}
-		heap.Pop(&e.queue)
+		at := r.at
+		item := e.queue.pop()
 		e.mu.Unlock()
-		e.clock.AdvanceTo(next.at)
-		e.execSerial(next)
+		e.clock.AdvanceTo(at)
+		e.execSerial(item)
 	}
 }
 
 // execSerial runs one event inline; keyed callbacks get a direct
 // (pass-through) lane, so serial and parallel runs share one code path
 // in callers.
-func (e *Engine) execSerial(item *scheduled) {
-	fn, lfn, seq := item.fn, item.lfn, item.seq
-	e.release(item)
-	if lfn != nil {
-		lfn(e.directLane.serve(seq))
+func (e *Engine) execSerial(item scheduled) {
+	if item.lfn != nil {
+		item.lfn(e.directLane.serve(item.seq))
 		return
 	}
-	fn()
+	item.fn()
 }
 
-// scheduled is one queued callback.
+// scheduled is one queued callback; its time is its run's.
 type scheduled struct {
-	at    time.Time
 	seq   int
 	shard string
 	fn    func()
 	lfn   func(*Lane)
-	// nextFree links recycled structs (see Engine.acquire).
-	nextFree *scheduled
 }
 
-// eventQueue is a min-heap ordered by (time, seq).
-type eventQueue []*scheduled
+// run is a FIFO of events pushed back to back with one timestamp.
+type run struct {
+	at time.Time
+	// first is the sequence number of the run's first event, its heap
+	// key; items[:head] have been popped.
+	first int
+	items []scheduled
+	head  int
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// runQueue is the event queue: a min-heap of runs ordered by (time,
+// first seq). Sequence numbers only grow and a push extends only the
+// newest run (opening a fresh one when its time differs), so runs at
+// one timestamp never interleave: draining run heads in heap order
+// yields events in exactly (time, seq) order, and consecutive pushes
+// at one time — a fleet rescheduling its ticks — cost an append each,
+// not a heap sift.
+//
+// Drained runs are recycled, those holding a large buffer on a
+// separate spare list: a new run starts small and trades up to the
+// largest spare buffer once it fills smallRun events (grow), so a
+// timer firing beside a fleet's ticks never walks off with the
+// fleet-sized buffer.
+type runQueue struct {
+	// runs is a binary min-heap ordered by (time, first seq).
+	runs []*run
+	// newest is the run the last push landed in, while it is queued.
+	newest *run
+	free   []*run
+	spare  []*run
+	n      int
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// smallRun is the size at which a filling run trades up. Buffers of
+// up to twice that — what a trade hands down, allowing for allocation
+// size classes — count as small.
+const smallRun = 64
+
+func (q *runQueue) Len() int { return q.n }
+
+// peek returns the run holding the next event, or nil.
+func (q *runQueue) peek() *run {
+	if len(q.runs) == 0 {
+		return nil
 	}
-	return q[i].seq < q[j].seq
+	return q.runs[0]
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// push queues an event whose seq exceeds every queued one.
+func (q *runQueue) push(at time.Time, item scheduled) {
+	q.n++
+	r := q.newest
+	if r == nil || !r.at.Equal(at) {
+		r = q.open(at, item.seq)
+		q.newest = r
+	}
+	if len(r.items) == cap(r.items) && len(r.items) >= smallRun {
+		q.grow(r)
+	}
+	r.items = append(r.items, item)
+}
 
-func (q *eventQueue) Push(x any) {
-	item, ok := x.(*scheduled)
-	if !ok {
+// grow trades r's full buffer, which has outgrown small, for the
+// largest spare one, when that is larger, and refiles the spare run by
+// its new buffer.
+func (q *runQueue) grow(r *run) {
+	big := -1
+	for i, f := range q.spare {
+		if cap(f.items) > cap(r.items) && (big < 0 || cap(f.items) > cap(q.spare[big].items)) {
+			big = i
+		}
+	}
+	if big < 0 {
 		return
 	}
-	*q = append(*q, item)
+	f := q.spare[big]
+	items := append(f.items[:0], r.items[r.head:]...)
+	clear(r.items)
+	f.items, r.items, r.head = r.items[:0], items, 0
+	last := len(q.spare) - 1
+	q.spare[big] = q.spare[last]
+	q.spare[last] = nil
+	q.spare = q.spare[:last]
+	q.recycle(f)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+// requeue puts events taken off the queue back under their own
+// sequence numbers, as one run. They must share time at and be in seq
+// order, and no queued event at at may precede them.
+func (q *runQueue) requeue(at time.Time, items []scheduled) {
+	if len(items) == 0 {
+		return
+	}
+	q.n += len(items)
+	r := q.open(at, items[0].seq)
+	r.items = append(r.items, items...)
+}
+
+// open pushes an empty run onto the heap. It reuses a small recycled
+// run, never a spare one: spare buffers go only to runs that fill up.
+func (q *runQueue) open(at time.Time, first int) *run {
+	var r *run
+	if n := len(q.free); n > 0 {
+		r = q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+	} else {
+		r = &run{}
+	}
+	r.at, r.first = at, first
+	q.runs = append(q.runs, r)
+	q.up(len(q.runs) - 1)
+	return r
+}
+
+// pop removes and returns the next event; the queue must not be empty.
+func (q *runQueue) pop() scheduled {
+	r := q.runs[0]
+	item := r.items[r.head]
+	r.items[r.head] = scheduled{}
+	r.head++
+	q.n--
+	if r.head == len(r.items) {
+		q.drop()
+	}
 	return item
+}
+
+// take appends every queued event at time at — whole runs, in seq
+// order — to batch.
+func (q *runQueue) take(at time.Time, batch []scheduled) []scheduled {
+	for len(q.runs) > 0 && q.runs[0].at.Equal(at) {
+		r := q.runs[0]
+		batch = append(batch, r.items[r.head:]...)
+		q.n -= len(r.items) - r.head
+		q.drop()
+	}
+	return batch
+}
+
+// drop removes the top run from the heap and recycles it.
+func (q *runQueue) drop() {
+	r := q.runs[0]
+	last := len(q.runs) - 1
+	q.runs[0] = q.runs[last]
+	q.runs[last] = nil
+	q.runs = q.runs[:last]
+	if last > 0 {
+		q.down(0)
+	}
+	if q.newest == r {
+		q.newest = nil
+	}
+	clear(r.items)
+	r.items, r.head, r.at = r.items[:0], 0, time.Time{}
+	q.recycle(r)
+}
+
+// recycle files an emptied run on the free or spare list.
+func (q *runQueue) recycle(r *run) {
+	if cap(r.items) > 2*smallRun {
+		q.spare = append(q.spare, r)
+	} else {
+		q.free = append(q.free, r)
+	}
+}
+
+// The heap is sifted by hand: container/heap's interface calls cost a
+// queue of single-event runs (timers at distinct times) ~13% in
+// BenchmarkEngineScheduleBurst.
+
+func (q *runQueue) less(i, j int) bool {
+	a, b := q.runs[i], q.runs[j]
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
+	}
+	return a.first < b.first
+}
+
+func (q *runQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			return
+		}
+		q.runs[i], q.runs[parent] = q.runs[parent], q.runs[i]
+		i = parent
+	}
+}
+
+func (q *runQueue) down(i int) {
+	n := len(q.runs)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if right := child + 1; right < n && q.less(right, child) {
+			child = right
+		}
+		if !q.less(child, i) {
+			return
+		}
+		q.runs[i], q.runs[child] = q.runs[child], q.runs[i]
+		i = child
+	}
 }

@@ -76,6 +76,10 @@ var defs = []Def{
 	{Name: "device.events", Kind: KindCounter, Labels: []string{"device"}, Help: "Events handled by the device's policy logic."},
 	{Name: "device.executions", Kind: KindCounter, Labels: []string{"device", "result"}, Help: "Directed-action outcomes, by result (executed, denied, error)."},
 
+	// engine — the discrete-event engine's parallel segments.
+	{Name: "engine.segment_events", Kind: KindHistogram, Help: "Events per parallel segment: a run of same-timestamp sharded events spread over the worker pool."},
+	{Name: "engine.segment_ms", Kind: KindHistogram, Labels: []string{"phase"}, Help: "Wall time of each parallel segment in milliseconds, by phase (run: the workers; merge: chaining staged journal ranges and queueing staged events on the run goroutine)."},
+
 	// gossip — anti-entropy policy/intelligence sharing.
 	{Name: "gossip.rounds", Kind: KindCounter, Help: "Anti-entropy push rounds executed."},
 	{Name: "gossip.updates", Kind: KindCounter, Help: "Item updates applied across peers by gossip pushes."},

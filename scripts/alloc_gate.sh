@@ -14,7 +14,7 @@
 set -eu
 
 budget=${1:-bench_budget.json}
-pkgs="./internal/experiments ./internal/bundle"
+pkgs="./internal/experiments ./internal/bundle ./internal/sim"
 [ -f "$budget" ] || { echo "alloc_gate: $budget not found" >&2; exit 1; }
 
 # Benchmark names are the keys directly under "budgets".
