@@ -373,7 +373,7 @@ func run(args []string, out io.Writer) error {
 				if !d.Deactivated() {
 					// A failed checkpoint leaves the device's previous one
 					// in place; a restart that finds none reports it.
-					_, _ = resilience.Checkpoint(log, d)
+					_ = resilience.Checkpoint(log, d)
 				}
 			}
 			if ch.CrashDevice != "" && s == ch.CrashAtStep && collective.RemoveDevice(ch.CrashDevice) {

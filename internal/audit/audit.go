@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"sort"
 	"sync"
 	"time"
@@ -43,6 +42,11 @@ const (
 	KindNote       Kind = "note"
 )
 
+// TraceKey is the context key under which append sites stamp the ID
+// of the trace that caused an entry. A log indexes its entries by
+// that value as they are appended, so ByTrace costs O(answer).
+const TraceKey = "trace"
+
 // Entry is one immutable audit record.
 type Entry struct {
 	// Seq is the zero-based position of the entry in the log.
@@ -65,16 +69,64 @@ type Entry struct {
 	Hash string `json:"hash"`
 }
 
+// chunkLen is the number of records in one storage chunk (112 KiB).
+// Chunks are allocated whole and never moved, so a growing log copies
+// no record.
+const chunkLen = 1024
+
+// maxContexts bounds a log's table of distinct context encodings.
+// Contexts that repeat (a device's action labels, a revision's acks)
+// share one string; a full table is cleared, so contexts unique to one
+// entry, such as a trace's, cannot pin it.
+const maxContexts = 1 << 10
+
+// record is a chained entry as the log keeps it. Seq is its position
+// and PrevHash the previous record's hash, so neither is stored; the
+// hash stays binary until an Entry leaves the package.
+type record struct {
+	at     time.Time
+	actor  string
+	detail string
+	// ctx is the context's canonical encoding (appendContext), the
+	// bytes the chain hash covers; equal contexts share one string.
+	ctx  string
+	hash [sha256.Size]byte
+	// kind indexes Log.kinds.
+	kind uint32
+	// trace is 1 + the position of the previous entry stamped with the
+	// same trace ID, or 0: each trace's entries form a list that
+	// starts at Log.traces.
+	trace uint32
+}
+
 // Log is a thread-safe, append-only hash-chained audit log. The zero
 // value is ready to use with wall-clock time; use New to inject a
 // clock (e.g. a simulation clock).
 type Log struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	entries []Entry
-	scratch hasher // hash scratch reused across appends (guarded by mu)
-	// stage is non-nil on a staging log (NewStage): it holds each
-	// buffered entry's rendered chain encoding.
+	mu  sync.Mutex
+	now func() time.Time
+
+	// The chain: n records in fixed-size chunks.
+	chunks []*[chunkLen]record
+	n      int
+	// kinds lists the distinct kinds in order of first append, and
+	// counts their entries.
+	kinds  []Kind
+	counts []int
+	// contexts dedups context encodings (at most maxContexts).
+	contexts map[string]string
+	// traces maps a trace ID to 1 + the position of its latest entry;
+	// checkpoints maps an actor to 1 + the position of its latest
+	// KindCheckpoint entry.
+	traces      map[string]uint32
+	checkpoints map[string]uint32
+
+	// enc and buf are scratch for a context encoding and a hash input.
+	enc, buf []byte
+	keys     []string
+
+	// stage is non-nil on a staging log (NewStage), which buffers
+	// entries and holds no chain.
 	stage *stageBuf
 }
 
@@ -112,7 +164,7 @@ func WithClock(now func() time.Time) Option {
 	return clockOption{now: now}
 }
 
-// New returns an empty log.
+// New returns an empty log. Its storage comes with the first append.
 func New(opts ...Option) *Log {
 	l := &Log{}
 	for _, o := range opts {
@@ -123,10 +175,11 @@ func New(opts ...Option) *Log {
 
 // NewStage returns a staging log: Append buffers entries (stamping
 // their time from the clock) without chaining them, and renders each
-// one's chain encoding except Seq and PrevHash, so a stage is cheap to
-// fill concurrently with other stages and cheap to merge. Stages are
-// not verifiable; their purpose is to be merged into a real log with
-// Chain, which seals ranges of buffered entries onto the log's chain
+// one's context encoding, so a stage is cheap to fill concurrently
+// with other stages and cheap to merge. A stage is not a chain: Len
+// counts its buffered entries, and every other reader sees an empty
+// log. Its purpose is to be merged into a real log with Chain, which
+// seals ranges of buffered entries onto the log's chain
 // deterministically. The sim engine gives each parallel worker one
 // stage per destination log.
 func NewStage(opts ...Option) *Log {
@@ -135,89 +188,137 @@ func NewStage(opts ...Option) *Log {
 	return l
 }
 
-// Append records a new entry and returns it with its sequence number
-// and chain hashes filled in. On a staging log (NewStage) the entry is
-// buffered without hashes.
-func (l *Log) Append(kind Kind, actor, detail string, context map[string]string) Entry {
-	return l.append(kind, actor, detail, context, true)
-}
-
-// AppendOwned is Append with ownership transfer: the log stores the
-// context map directly instead of copying it. The caller must not
-// mutate the map afterwards. Hot append sites (guard denials, action
-// records) build a fresh map per entry anyway, so transferring it
-// halves their allocation cost.
-func (l *Log) AppendOwned(kind Kind, actor, detail string, context map[string]string) Entry {
-	return l.append(kind, actor, detail, context, false)
-}
-
-func (l *Log) append(kind Kind, actor, detail string, context map[string]string, copyCtx bool) Entry {
+// Append records a new entry. The log keeps the context's encoding,
+// never the map, so the caller may reuse or mutate it afterwards. On a
+// staging log (NewStage) the entry is buffered without hashes.
+func (l *Log) Append(kind Kind, actor, detail string, context map[string]string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-
 	now := time.Now
 	if l.now != nil {
 		now = l.now
 	}
-	return l.appendLocked(now(), kind, actor, detail, context, copyCtx)
+	at := now()
+	if l.stage != nil {
+		l.stage.add(at, kind, actor, detail, context)
+		return
+	}
+	l.enc = appendContext(l.enc[:0], context, &l.keys)
+	l.push(at, kind, actor, detail, l.enc)
 }
 
-// appendLocked records one entry stamped with an explicit time; the
-// caller holds l.mu.
-func (l *Log) appendLocked(at time.Time, kind Kind, actor, detail string, context map[string]string, copyCtx bool) Entry {
-	e := Entry{
-		Seq:    len(l.entries),
-		Time:   at,
-		Kind:   kind,
-		Actor:  actor,
-		Detail: detail,
+// AppendOwned is Append.
+//
+// Deprecated: the log never retains a context map, so there is no
+// ownership to transfer; use Append.
+func (l *Log) AppendOwned(kind Kind, actor, detail string, context map[string]string) {
+	l.Append(kind, actor, detail, context)
+}
+
+// push chains one entry whose context encoding is ctx and updates the
+// indexes; the caller holds l.mu.
+func (l *Log) push(at time.Time, kind Kind, actor, detail string, ctx []byte) {
+	if l.n%chunkLen == 0 {
+		l.chunks = append(l.chunks, new([chunkLen]record))
 	}
-	if len(context) > 0 {
-		if copyCtx {
-			e.Context = make(map[string]string, len(context))
-			for k, v := range context {
-				e.Context[k] = v
-			}
-		} else {
-			e.Context = context
+	r := l.rec(l.n)
+	*r = record{at: at, actor: actor, detail: detail, ctx: l.intern(ctx), kind: l.kindOf(kind)}
+	r.hash = l.digest(l.n, r)
+	l.counts[r.kind]++
+	pos := uint32(l.n) + 1
+	if kind == KindCheckpoint {
+		if l.checkpoints == nil {
+			l.checkpoints = make(map[string]uint32)
 		}
+		l.checkpoints[actor] = pos
 	}
-	if l.stage != nil {
-		l.stage.render(&e)
+	if trace, ok := contextValue(r.ctx, TraceKey); ok {
+		if l.traces == nil {
+			l.traces = make(map[string]uint32)
+		}
+		r.trace = l.traces[trace]
+		l.traces[trace] = pos
+	}
+	l.n++
+}
+
+// rec returns record i; the caller holds l.mu.
+func (l *Log) rec(i int) *record {
+	return &l.chunks[i/chunkLen][i%chunkLen]
+}
+
+// digest returns the chain hash of r at position i, chained onto
+// record i-1 (see hasher for the encoding); the caller holds l.mu.
+func (l *Log) digest(i int, r *record) [sha256.Size]byte {
+	b := binary.BigEndian.AppendUint64(l.buf[:0], uint64(i))
+	b = appendHead(b, r.at, l.kinds[r.kind], r.actor, r.detail)
+	b = append(b, r.ctx...)
+	if i == 0 {
+		b = binary.BigEndian.AppendUint32(b, 0)
 	} else {
-		if len(l.entries) > 0 {
-			e.PrevHash = l.entries[len(l.entries)-1].Hash
-		}
-		e.Hash = l.scratch.hash(&e)
+		b = binary.BigEndian.AppendUint32(b, hexHashLen)
+		b = hex.AppendEncode(b, l.rec(i - 1).hash[:])
 	}
-	l.entries = append(l.entries, e)
-	return e
+	l.buf = b
+	return sha256.Sum256(b)
+}
+
+// kindOf returns kind's index in l.kinds, adding it on first use.
+func (l *Log) kindOf(kind Kind) uint32 {
+	if k := l.kindIndex(kind); k >= 0 {
+		return uint32(k)
+	}
+	l.kinds = append(l.kinds, kind)
+	l.counts = append(l.counts, 0)
+	return uint32(len(l.kinds) - 1)
+}
+
+// noContext is the encoding of an empty context: a zero pair count.
+const noContext = "\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// intern returns ctx as a string, shared with earlier records that
+// hold the same encoding while the table still lists it.
+func (l *Log) intern(ctx []byte) string {
+	if string(ctx) == noContext {
+		return noContext
+	}
+	if s, ok := l.contexts[string(ctx)]; ok {
+		return s
+	}
+	s := string(ctx)
+	if l.contexts == nil {
+		l.contexts = make(map[string]string)
+	} else if len(l.contexts) >= maxContexts {
+		clear(l.contexts)
+	}
+	l.contexts[s] = s
+	return s
 }
 
 // Chain seals the staged entries [from, to) of stage onto l's chain,
-// in order and with their recorded times: each gets its Seq and
-// PrevHash and is hashed over the content encoding the stage rendered,
-// so l ends up exactly as if the entries had been appended to it one by
-// one. The stage keeps its entries until Reset; l must not be a stage.
+// in order and with their recorded times: each is hashed over the
+// context encoding the stage rendered, so l ends up exactly as if the
+// entries had been appended to it one by one. The stage keeps its
+// entries until Reset; l must not be a stage.
 func (l *Log) Chain(stage *Log, from, to int) {
 	if stage == nil || stage == l || from >= to {
 		return
 	}
 	stage.mu.Lock()
 	defer stage.mu.Unlock()
-	if stage.stage == nil {
+	s := stage.stage
+	if s == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := from; i < to; i++ {
-		e := stage.entries[i]
-		e.Seq = len(l.entries)
-		if e.Seq > 0 {
-			e.PrevHash = l.entries[e.Seq-1].Hash
+		e := &s.entries[i]
+		end := len(s.enc)
+		if i+1 < len(s.entries) {
+			end = s.entries[i+1].ctx
 		}
-		e.Hash = stage.stage.seal(i, e.Seq, e.PrevHash)
-		l.entries = append(l.entries, e)
+		l.push(e.at, e.kind, e.actor, e.detail, s.enc[e.ctx:end])
 	}
 }
 
@@ -227,29 +328,70 @@ func (l *Log) Chain(stage *Log, from, to int) {
 func (l *Log) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.stage == nil {
-		return
+	if s := l.stage; s != nil {
+		clear(s.entries)
+		s.entries = s.entries[:0]
+		s.enc = s.enc[:0]
 	}
-	clear(l.entries)
-	l.entries = l.entries[:0]
-	l.stage.enc = l.stage.enc[:0]
-	l.stage.at = l.stage.at[:0]
 }
 
 // Len returns the number of entries.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	if l.stage != nil {
+		return len(l.stage.entries)
+	}
+	return l.n
+}
+
+// hexHashLen is the length of a rendered chain hash (hex SHA-256).
+const hexHashLen = 2 * sha256.Size
+
+// hashAt renders the hash of record i, or "" for i < 0; the caller
+// holds l.mu.
+func (l *Log) hashAt(i int) string {
+	if i < 0 {
+		return ""
+	}
+	var out [hexHashLen]byte
+	hex.Encode(out[:], l.rec(i).hash[:])
+	return string(out[:])
+}
+
+// entry renders record i as an Entry whose PrevHash is prev; the
+// caller holds l.mu.
+func (l *Log) entry(i int, prev string) Entry {
+	r := l.rec(i)
+	return Entry{
+		Seq:      i,
+		Time:     r.at,
+		Kind:     l.kinds[r.kind],
+		Actor:    r.actor,
+		Detail:   r.detail,
+		Context:  decodeContext(r.ctx),
+		PrevHash: prev,
+		Hash:     l.hashAt(i),
+	}
+}
+
+// entries renders records [from, to), the first chained onto prev;
+// the caller holds l.mu.
+func (l *Log) entries(from, to int, prev string) []Entry {
+	out := make([]Entry, 0, to-from)
+	for i := from; i < to; i++ {
+		e := l.entry(i, prev)
+		out = append(out, e)
+		prev = e.Hash
+	}
+	return out
 }
 
 // Entries returns a copy of all entries.
 func (l *Log) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	return l.entries(0, l.n, "")
 }
 
 // EntriesSince returns copies of the entries from index on, together
@@ -263,58 +405,92 @@ func (l *Log) Entries() []Entry {
 func (l *Log) EntriesSince(from int) ([]Entry, string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(l.entries) {
-		from = len(l.entries)
-	}
-	prev := ""
-	if from > 0 {
-		prev = l.entries[from-1].Hash
-	}
-	if from == len(l.entries) {
+	from = max(0, min(from, l.n))
+	prev := l.hashAt(from - 1)
+	if from == l.n {
 		return nil, prev
 	}
-	out := make([]Entry, len(l.entries)-from)
-	copy(out, l.entries[from:])
-	return out, prev
+	return l.entries(from, l.n, prev), prev
 }
 
 // ByKind returns copies of all entries of the given kind, in order.
 func (l *Log) ByKind(kind Kind) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Entry
-	for _, e := range l.entries {
-		if e.Kind == kind {
-			out = append(out, e)
+	k := l.kindIndex(kind)
+	if k < 0 || l.counts[k] == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, l.counts[k])
+	for i := 0; i < l.n; i++ {
+		if l.rec(i).kind == uint32(k) {
+			out = append(out, l.entry(i, l.hashAt(i-1)))
 		}
 	}
 	return out
 }
 
-// CountKind returns the number of entries of the given kind without
-// copying them — use instead of len(ByKind(k)) on large journals.
+// kindIndex returns kind's index in l.kinds, or -1 when no entry has
+// it; the caller holds l.mu.
+func (l *Log) kindIndex(kind Kind) int {
+	for i, k := range l.kinds {
+		if k == kind {
+			return i
+		}
+	}
+	return -1
+}
+
+// CountKind returns the number of entries of the given kind, from a
+// count kept at append time.
 func (l *Log) CountKind(kind Kind) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for i := range l.entries {
-		if l.entries[i].Kind == kind {
-			n++
-		}
+	if k := l.kindIndex(kind); k >= 0 {
+		return l.counts[k]
 	}
-	return n
+	return 0
 }
 
-// Verify walks the chain and returns ErrChainBroken (wrapped with the
-// failing sequence number) if any entry's hash or back-link is
-// inconsistent.
-func (l *Log) Verify() error {
+// ByTrace returns copies of the entries whose context stamps trace
+// under TraceKey, in order. It reads an index kept at append time, so
+// its cost does not grow with the log.
+func (l *Log) ByTrace(trace string) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return VerifyEntries(l.entries)
+	n := 0
+	for at := l.traces[trace]; at != 0; at = l.rec(int(at) - 1).trace {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, n)
+	for at := l.traces[trace]; at != 0; at = l.rec(int(at) - 1).trace {
+		n--
+		out[n] = l.entry(int(at)-1, l.hashAt(int(at)-2))
+	}
+	return out
+}
+
+// LatestCheckpoint returns the actor's most recent KindCheckpoint
+// entry, from an index kept at append time, and false when it has
+// none.
+func (l *Log) LatestCheckpoint(actor string) (Entry, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	at := int(l.checkpoints[actor])
+	if at == 0 {
+		return Entry{}, false
+	}
+	return l.entry(at-1, l.hashAt(at-2)), true
+}
+
+// Verify rehashes the whole chain and returns ErrChainBroken (wrapped
+// with the failing sequence number) if any entry's hash is
+// inconsistent with its content and its predecessor's hash.
+func (l *Log) Verify() error {
+	return l.VerifyFrom(0, "")
 }
 
 // VerifyFrom walks only the chain tail starting at index, checking
@@ -328,24 +504,17 @@ func (l *Log) Verify() error {
 func (l *Log) VerifyFrom(index int, prevHash string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if index < 0 || index > len(l.entries) {
-		return fmt.Errorf("%w: verify-from index %d out of range [0,%d]", ErrChainBroken, index, len(l.entries))
+	if index < 0 || index > l.n {
+		return fmt.Errorf("%w: verify-from index %d out of range [0,%d]", ErrChainBroken, index, l.n)
 	}
-	prev := prevHash
-	h := hasherPool.Get().(*hasher)
-	defer hasherPool.Put(h)
-	for i := index; i < len(l.entries); i++ {
-		e := &l.entries[i]
-		if e.Seq != i {
-			return fmt.Errorf("%w: entry %d has seq %d", ErrChainBroken, i, e.Seq)
-		}
-		if e.PrevHash != prev {
-			return fmt.Errorf("%w: entry %d back-link mismatch", ErrChainBroken, i)
-		}
-		if !h.matches(e) {
+	if index < l.n && l.hashAt(index-1) != prevHash {
+		return fmt.Errorf("%w: entry %d back-link mismatch", ErrChainBroken, index)
+	}
+	for i := index; i < l.n; i++ {
+		r := l.rec(i)
+		if l.digest(i, r) != r.hash {
 			return fmt.Errorf("%w: entry %d content hash mismatch", ErrChainBroken, i)
 		}
-		prev = e.Hash
 	}
 	return nil
 }
@@ -390,128 +559,143 @@ func VerifyTail(from int, prevHash string, entries []Entry) error {
 	return nil
 }
 
-// hasher computes entry chain hashes over a reusable buffer. The
-// canonical encoding is length-prefixed (every string is u32 length +
-// bytes, integers are fixed-width big-endian, context keys sorted), so
-// it is injective over the hashed fields and orders of magnitude
-// cheaper than the reflective JSON marshal it replaces. Time is hashed
+// hasher computes the chain hash of an exported Entry over a reusable
+// buffer. The canonical encoding is length-prefixed (every string is
+// u32 length + bytes, integers are fixed-width big-endian, context
+// keys sorted), so it is injective over the hashed fields and orders
+// of magnitude cheaper than a reflective JSON marshal. Time is hashed
 // as UnixNano, which survives JSON round-trips (encoding drops only
 // the monotonic reading), so exported logs still verify elsewhere.
 //
-// The encoding is Seq, then the content fields (appendContent), then
-// PrevHash; a staging log renders the content when an entry is
-// appended and adds the other two when it is sealed (see stageBuf).
+// The encoding is Seq, then the content — appendHead's fields and
+// appendContext's context — then PrevHash. A Log hashes its records
+// over the same bytes (Log.digest), keeping the context part as it
+// was rendered at append time.
 type hasher struct {
 	buf  []byte
 	keys []string
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-// appendContent appends the encoding of every hashed field of e
-// between Seq and PrevHash; keys is the scratch that sorts the context
-// keys.
-func appendContent(b []byte, e *Entry, keys *[]string) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(e.Time.UnixNano()))
-	b = appendStr(b, string(e.Kind))
-	b = appendStr(b, e.Actor)
-	b = appendStr(b, e.Detail)
-	b = binary.BigEndian.AppendUint64(b, uint64(len(e.Context)))
-	if len(e.Context) > 0 {
-		ks := (*keys)[:0]
-		for k := range e.Context {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		for _, k := range ks {
-			b = appendStr(b, k)
-			b = appendStr(b, e.Context[k])
-		}
-		*keys = ks
-	}
-	return b
-}
-
-// hexHashLen is the length of a rendered chain hash (hex SHA-256).
-const hexHashLen = 2 * sha256.Size
-
-// hash computes the chain hash over every field of e except Hash
-// itself — one string allocation, nothing else.
-func (h *hasher) hash(e *Entry) string {
-	var out [hexHashLen]byte
-	h.encode(e, &out)
-	return string(out[:])
 }
 
 // matches reports whether e.Hash is the chain hash of e's content.
 // The rendered hash lives on the stack, so verification walks are
 // allocation-free.
 func (h *hasher) matches(e *Entry) bool {
+	h.buf = binary.BigEndian.AppendUint64(h.buf[:0], uint64(e.Seq))
+	h.buf = appendHead(h.buf, e.Time, e.Kind, e.Actor, e.Detail)
+	h.buf = appendContext(h.buf, e.Context, &h.keys)
+	h.buf = appendStr(h.buf, e.PrevHash)
+	sum := sha256.Sum256(h.buf)
 	var out [hexHashLen]byte
-	h.encode(e, &out)
+	hex.Encode(out[:], sum[:])
 	return string(out[:]) == e.Hash
 }
 
-func (h *hasher) encode(e *Entry, out *[hexHashLen]byte) {
-	h.buf = binary.BigEndian.AppendUint64(h.buf[:0], uint64(e.Seq))
-	h.buf = appendContent(h.buf, e, &h.keys)
-	h.buf = appendStr(h.buf, e.PrevHash)
-	sum := sha256.Sum256(h.buf)
-	hex.Encode(out[:], sum[:])
-}
-
-// stageBuf is a staging log's rendered chain encodings: entry i's
-// content encoding (appendContent) starts at at[i] and runs to at[i+1]
-// (the last one to the end of enc). Sealing an entry streams its Seq,
-// that content and its PrevHash through one reused digest, so nothing
-// on the merge path re-encodes an entry.
-type stageBuf struct {
-	enc  []byte
-	at   []int
-	keys []string
-
-	digest hash.Hash
-	// seq and prev frame the content in the hashed encoding; sum
-	// receives the digest.
-	seq  [8]byte
-	prev [4 + hexHashLen]byte
-	sum  [sha256.Size]byte
-}
-
-// render appends e's content encoding.
-func (s *stageBuf) render(e *Entry) {
-	s.at = append(s.at, len(s.enc))
-	s.enc = appendContent(s.enc, e, &s.keys)
-}
-
-// seal returns the chain hash of entry i at position seq after prev,
-// which is "" or a chain hash.
-func (s *stageBuf) seal(i, seq int, prev string) string {
-	end := len(s.enc)
-	if i+1 < len(s.at) {
-		end = s.at[i+1]
-	}
-	if s.digest == nil {
-		s.digest = sha256.New()
-	}
-	// A hash.Hash's Write never returns an error.
-	s.digest.Reset()
-	binary.BigEndian.PutUint64(s.seq[:], uint64(seq))
-	s.digest.Write(s.seq[:])
-	s.digest.Write(s.enc[s.at[i]:end])
-	binary.BigEndian.PutUint32(s.prev[:], uint32(len(prev)))
-	n := 4 + copy(s.prev[4:], prev)
-	s.digest.Write(s.prev[:n])
-	s.digest.Sum(s.sum[:0])
-	var out [hexHashLen]byte
-	hex.Encode(out[:], s.sum[:])
-	return string(out[:])
-}
-
 var hasherPool = sync.Pool{New: func() any { return new(hasher) }}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// appendHead appends the encoding of the hashed fields before the
+// context.
+func appendHead(b []byte, at time.Time, kind Kind, actor, detail string) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(at.UnixNano()))
+	b = appendStr(b, string(kind))
+	b = appendStr(b, actor)
+	return appendStr(b, detail)
+}
+
+// appendContext appends a context's canonical encoding: the pair
+// count, then each key and value in key order; keys is the scratch
+// that sorts the keys.
+func appendContext(b []byte, ctx map[string]string, keys *[]string) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(ctx)))
+	if len(ctx) == 0 {
+		return b
+	}
+	ks := (*keys)[:0]
+	for k := range ctx {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	for _, k := range ks {
+		b = appendStr(b, k)
+		b = appendStr(b, ctx[k])
+	}
+	*keys = ks
+	return b
+}
+
+// cutStr splits the length-prefixed string appendStr wrote off the
+// front of s.
+func cutStr(s string) (string, string) {
+	n := int(s[0])<<24 | int(s[1])<<16 | int(s[2])<<8 | int(s[3])
+	return s[4 : 4+n], s[4+n:]
+}
+
+// contextPairs returns the pair count of a context encoding and the
+// pairs' encoding.
+func contextPairs(enc string) (int, string) {
+	n := 0
+	for i := 0; i < 8; i++ {
+		n = n<<8 | int(enc[i])
+	}
+	return n, enc[8:]
+}
+
+// decodeContext rebuilds a context map from its encoding; keys and
+// values are substrings of enc. An empty context decodes to nil.
+func decodeContext(enc string) map[string]string {
+	n, rest := contextPairs(enc)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]string, n)
+	for ; n > 0; n-- {
+		var k, v string
+		k, rest = cutStr(rest)
+		v, rest = cutStr(rest)
+		m[k] = v
+	}
+	return m
+}
+
+// contextValue returns the value under key in a context encoding.
+func contextValue(enc, key string) (string, bool) {
+	n, rest := contextPairs(enc)
+	for ; n > 0; n-- {
+		var k, v string
+		k, rest = cutStr(rest)
+		v, rest = cutStr(rest)
+		if k == key {
+			return v, true
+		}
+	}
+	return "", false
+}
+
+// stageBuf is a staging log's buffered entries. Entry i's context
+// encoding runs in enc from entries[i].ctx to the next entry's (the
+// last one to the end of enc), and Chain hashes it from there, so
+// nothing on the merge path re-encodes a context.
+type stageBuf struct {
+	entries []staged
+	enc     []byte
+	keys    []string
+}
+
+type staged struct {
+	at            time.Time
+	kind          Kind
+	actor, detail string
+	ctx           int
+}
+
+func (s *stageBuf) add(at time.Time, kind Kind, actor, detail string, context map[string]string) {
+	s.entries = append(s.entries, staged{at: at, kind: kind, actor: actor, detail: detail, ctx: len(s.enc)})
+	s.enc = appendContext(s.enc, context, &s.keys)
+}
 
 // Seal computes an HMAC over the final hash of the chain, binding the
 // whole log to a shared secret. A holder of the secret can detect
@@ -520,8 +704,8 @@ func (l *Log) Seal(secret []byte) string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	mac := hmac.New(sha256.New, secret)
-	if len(l.entries) > 0 {
-		mac.Write([]byte(l.entries[len(l.entries)-1].Hash))
+	if l.n > 0 {
+		mac.Write([]byte(l.hashAt(l.n - 1)))
 	}
 	return hex.EncodeToString(mac.Sum(nil))
 }
@@ -535,10 +719,11 @@ func (l *Log) CheckSeal(secret []byte, seal string) bool {
 
 // CtxCache caches the most recent context map built by one hot append
 // site. MAPE loops append entries with the same few label values tick
-// after tick; when the values repeat, the cached immutable map is
-// handed to AppendOwned again, so steady-state appends allocate no
-// context at all. Entries never mutate their context after append,
-// which is what makes sharing one map across many entries safe.
+// after tick; when the values repeat, the cached map is handed to
+// Append again, so steady-state appends build no map at all. The log
+// only reads a context while appending (it keeps the encoding, shared
+// between equal contexts), so the cache saves the map's allocation and
+// nothing else.
 //
 // A cache instance must be used with one fixed key set per arity (the
 // match test compares values under the given keys, so mixing key sets

@@ -3,6 +3,7 @@ package audit
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,9 +22,11 @@ func fixedClock() func() time.Time {
 
 func TestAppendAndVerify(t *testing.T) {
 	l := New(WithClock(fixedClock()))
-	e1 := l.Append(KindAction, "drone-1", "moved", nil)
-	e2 := l.Append(KindDenial, "drone-1", "blocked fire", map[string]string{"reason": "human in range"})
+	l.Append(KindAction, "drone-1", "moved", nil)
+	l.Append(KindDenial, "drone-1", "blocked fire", map[string]string{"reason": "human in range"})
 
+	entries := l.Entries()
+	e1, e2 := entries[0], entries[1]
 	if e1.Seq != 0 || e2.Seq != 1 {
 		t.Errorf("seq = %d,%d, want 0,1", e1.Seq, e2.Seq)
 	}
@@ -194,5 +197,41 @@ func TestTamperDetectionProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Errorf("tamper went undetected: %v", err)
+	}
+}
+
+// TestIndexedLookupsAllocsFlat: a trace lookup and a latest-checkpoint
+// lookup read indexes kept at append time, so they allocate the same
+// on a 400k-entry journal as on a 4k one.
+func TestIndexedLookupsAllocsFlat(t *testing.T) {
+	allocs := func(n int) (trace, checkpoint float64) {
+		l := New(WithClock(fixedClock()))
+		for i := 0; i < n; i++ {
+			ctx := map[string]string(nil)
+			if i%(n/4) == 0 {
+				ctx = map[string]string{TraceKey: "7f", "step": fmt.Sprint(i)}
+			}
+			l.Append(KindAction, "dev", "tick", ctx)
+			if i == n/2 {
+				l.Append(KindCheckpoint, "dev", "checkpoint", map[string]string{"state": "ok"})
+			}
+		}
+		trace = testing.AllocsPerRun(20, func() {
+			if got := l.ByTrace("7f"); len(got) != 4 {
+				t.Fatalf("ByTrace = %d entries, want 4", len(got))
+			}
+		})
+		checkpoint = testing.AllocsPerRun(20, func() {
+			if _, ok := l.LatestCheckpoint("dev"); !ok {
+				t.Fatal("LatestCheckpoint found nothing")
+			}
+		})
+		return trace, checkpoint
+	}
+	smallTrace, smallCheckpoint := allocs(4_000)
+	largeTrace, largeCheckpoint := allocs(400_000)
+	if smallTrace != largeTrace || smallCheckpoint != largeCheckpoint {
+		t.Errorf("allocs/lookup on 4k vs 400k entries: trace %v vs %v, checkpoint %v vs %v",
+			smallTrace, largeTrace, smallCheckpoint, largeCheckpoint)
 	}
 }

@@ -109,14 +109,16 @@ func (a *Agent) ApplyWire(data []byte) (bool, error) {
 func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	s := getScratch()
+	defer s.release()
 
 	// 1. Signature: nothing else is even read until the bytes are
 	// proven to come from the control plane.
-	if !b.CheckSig(a.verifier) {
+	if !b.checkSig(a.verifier, s) {
 		return false, fmt.Errorf("%w (key %q)", ErrSignature, b.KeyID)
 	}
 	// 2. Root: the manifest must be internally consistent.
-	if b.Manifest.Root == "" || ComputeRoot(b.Manifest) != b.Manifest.Root {
+	if b.Manifest.Root == "" || !hashMatches(b.Manifest.rootSum(s), b.Manifest.Root) {
 		return false, ErrRoot
 	}
 	// 3. Scope: who signed decides what may be signed. An agent bound
@@ -158,14 +160,18 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 	// the digest this device has just computed and compared, so the
 	// table only ever answers for bytes this device verified, and the
 	// ID check below runs on every device, hit or miss.
-	upserts := make([]policy.Policy, 0, len(b.Records))
+	// A delta carries a few records, so upserts usually fits fixed,
+	// which stays on the stack.
+	var fixed [4]policy.Policy
+	upserts := fixed[:0]
 	seen := make(map[string]bool, len(b.Records))
 	for _, rec := range b.Records {
 		if rec.ID == "" || seen[rec.ID] {
 			return false, fmt.Errorf("%w: empty or duplicate record ID %q", ErrMalformed, rec.ID)
 		}
 		seen[rec.ID] = true
-		sum := sha256.Sum256([]byte(rec.Source))
+		s.buf = append(s.buf[:0], rec.Source...)
+		sum := sha256.Sum256(s.buf)
 		if !hashMatches(sum, rec.Hash) {
 			return false, fmt.Errorf("%w: record %s", ErrHash, rec.ID)
 		}
@@ -229,7 +235,7 @@ func (a *Agent) Apply(b Bundle) (applied bool, err error) {
 		delete(a.coverage, id)
 	}
 	for _, rec := range b.Records {
-		a.coverage[rec.ID] = rec.Hash
+		a.coverage[books.canon(rec.ID)] = books.canon(rec.Hash)
 	}
 	return true, nil
 }

@@ -106,13 +106,21 @@ func HashSource(src string) string {
 // The preimage is "org=O;rev=R;base=B;removed=a,b;" followed by
 // "id=hash;" per coverage entry in ID order.
 func ComputeRoot(m Manifest) string {
+	s := getScratch()
+	defer s.release()
+	sum := m.rootSum(s)
+	return hex.EncodeToString(sum[:])
+}
+
+// rootSum is the SHA-256 ComputeRoot renders in hex, with the
+// preimage built in s.
+func (m *Manifest) rootSum(s *scratch) [sha256.Size]byte {
 	removed := m.Removed
 	if !slices.IsSorted(removed) {
 		removed = slices.Clone(removed)
 		slices.Sort(removed)
 	}
-	var scratch [1024]byte
-	pre := append(scratch[:0], "org="...)
+	pre := append(s.buf[:0], "org="...)
 	pre = append(pre, m.Org...)
 	pre = append(pre, ";rev="...)
 	pre = strconv.AppendUint(pre, m.Revision, 10)
@@ -126,12 +134,13 @@ func ComputeRoot(m Manifest) string {
 		pre = append(pre, id...)
 	}
 	pre = append(pre, ';')
-	for _, e := range sortedCoverage(m.Coverage) {
+	s.cov = sortedCoverage(s.cov[:0], m.Coverage)
+	for _, e := range s.cov {
 		pre = append(pre, e.id...)
 		pre = append(pre, '=')
 		pre = append(pre, e.hash...)
 		pre = append(pre, ';')
 	}
-	sum := sha256.Sum256(pre)
-	return hex.EncodeToString(sum[:])
+	s.buf = pre
+	return sha256.Sum256(pre)
 }

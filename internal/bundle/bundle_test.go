@@ -473,3 +473,54 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// seenVerifier records a copy of the bytes each Verify call checked.
+type seenVerifier struct {
+	HMACKey
+	seen [][]byte
+}
+
+func (v *seenVerifier) Verify(keyID string, data []byte, sigHex string) bool {
+	v.seen = append(v.seen, bytes.Clone(data))
+	return v.HMACKey.Verify(keyID, data, sigHex)
+}
+
+// TestVerifyScratchReuse: verification renders into pooled scratch,
+// so a small bundle checked after a large one must see exactly its own
+// signing bytes and root, with nothing left over from the larger one.
+func TestVerifyScratchReuse(t *testing.T) {
+	pub := NewPublisher(testKey())
+	full, _, err := pub.Publish(mkPolicies(t, 32, "big"))
+	if err != nil {
+		t.Fatalf("Publish full: %v", err)
+	}
+	_, delta, err := pub.Publish(mkPolicies(t, 2, "small"))
+	if err != nil {
+		t.Fatalf("Publish delta: %v", err)
+	}
+	forged := delta
+	forged.Records = append([]Record(nil), delta.Records...)
+	forged.Records[0].Source += " "
+	v := &seenVerifier{HMACKey: testKey()}
+	agent := NewAgent(policy.NewSet(), v)
+	for _, step := range []struct {
+		name    string
+		b       Bundle
+		applied bool
+	}{{"full", full, true}, {"forged", forged, false}, {"delta", delta, true}} {
+		v.seen = nil
+		applied, err := agent.Apply(step.b)
+		if applied != step.applied || (err == nil) != step.applied {
+			t.Fatalf("%s: applied=%v err=%v", step.name, applied, err)
+		}
+		if len(v.seen) != 1 || !bytes.Equal(v.seen[0], step.b.SigningBytes()) {
+			t.Fatalf("%s: the verifier did not see exactly the signing bytes", step.name)
+		}
+		if step.b.CheckSig(v) != step.applied {
+			t.Fatalf("%s: CheckSig = %v, want %v", step.name, !step.applied, step.applied)
+		}
+		if got, want := ComputeRoot(step.b.Manifest), step.b.Manifest.Root; got != want {
+			t.Fatalf("%s: ComputeRoot = %s, want %s", step.name, got, want)
+		}
+	}
+}

@@ -21,3 +21,17 @@ func recordTableLen() int {
 	defer records.mu.Unlock()
 	return len(records.m)
 }
+
+// resetBooks empties the process's table of booked coverage strings.
+func resetBooks() {
+	books.mu.Lock()
+	defer books.mu.Unlock()
+	clear(books.m)
+}
+
+// booksLen returns how many strings the books table holds.
+func booksLen() int {
+	books.mu.Lock()
+	defer books.mu.Unlock()
+	return len(books.m)
+}

@@ -65,6 +65,37 @@ func (t *recordTable) compile(sum [sha256.Size]byte, src string) ([]policy.Polic
 	return pols, nil
 }
 
+// books is the process's table of the strings agents keep in their
+// coverage books: policy IDs and content hashes. Every device
+// subscribed to a root books the same few strings per revision, so
+// agents share one copy of each instead of each keeping the copy its
+// own decode made. Like records, a full table empties itself, and it
+// stores no string over maxTableSource bytes, so it retains at most
+// 1 MiB of strings.
+var books = stringTable{m: make(map[string]string)}
+
+type stringTable struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// canon returns the table's copy of s, adding s when it has none.
+func (t *stringTable) canon(s string) string {
+	if len(s) > maxTableSource {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c, ok := t.m[s]; ok {
+		return c
+	}
+	if len(t.m) == recordTableCap {
+		clear(t.m)
+	}
+	t.m[s] = s
+	return s
+}
+
 // hashMatches reports whether claimed is the lowercase hex of sum, the
 // form HashSource writes, without allocating.
 func hashMatches(sum [sha256.Size]byte, claimed string) bool {

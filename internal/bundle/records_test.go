@@ -1,11 +1,14 @@
 package bundle
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/policy"
 	"repro/internal/policylang"
@@ -122,5 +125,59 @@ func checkSetHolds(t *testing.T, set *policy.Set, want []policy.Policy) {
 		if gotSrc != wantSrc {
 			t.Fatalf("policy %s activated as\n%s\nwant\n%s", w.ID, gotSrc, wantSrc)
 		}
+	}
+}
+
+// TestCoverageBooksShared: agents that decode the same revision from
+// their own copies of the wire bytes book one shared copy of each
+// policy ID and content hash, and keep books equal to the manifest's
+// coverage.
+func TestCoverageBooksShared(t *testing.T) {
+	fullWire, deltaWire, ring := fanoutWire(t)
+	resetBooks()
+	agents := []*Agent{NewOrgAgent(policy.NewSet(), ring, "us"), NewOrgAgent(policy.NewSet(), ring, "us")}
+	for _, a := range agents {
+		for _, data := range [][]byte{fullWire, deltaWire} {
+			if applied, err := a.ApplyWire(bytes.Clone(data)); err != nil || !applied {
+				t.Fatalf("applied=%v err=%v", applied, err)
+			}
+		}
+	}
+	delta, err := Decode(deltaWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(agents[0].coverage, delta.Manifest.Coverage) || !maps.Equal(agents[1].coverage, delta.Manifest.Coverage) {
+		t.Fatalf("books %v and %v, want the manifest's %v", agents[0].coverage, agents[1].coverage, delta.Manifest.Coverage)
+	}
+	for id, h := range agents[0].coverage {
+		var otherID string
+		for k := range agents[1].coverage {
+			if k == id {
+				otherID = k
+			}
+		}
+		if unsafe.StringData(id) != unsafe.StringData(otherID) {
+			t.Errorf("policy ID %s is booked twice", id)
+		}
+		if unsafe.StringData(h) != unsafe.StringData(agents[1].coverage[id]) {
+			t.Errorf("hash of %s is booked twice", id)
+		}
+	}
+}
+
+// TestBooksBounded: the books table never holds more than
+// recordTableCap strings, and never one over maxTableSource bytes.
+func TestBooksBounded(t *testing.T) {
+	resetBooks()
+	for i := 0; i <= recordTableCap; i++ {
+		books.canon(fmt.Sprintf("p%04d", i))
+		if n := booksLen(); n > recordTableCap {
+			t.Fatalf("table holds %d strings, cap %d", n, recordTableCap)
+		}
+	}
+	resetBooks()
+	if long := strings.Repeat("x", maxTableSource+1); books.canon(long) != long || booksLen() != 0 {
+		t.Fatalf("a %d-byte string was booked", len(long))
 	}
 }

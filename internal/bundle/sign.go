@@ -17,7 +17,8 @@ type Signer interface {
 }
 
 // Verifier checks bundle signatures. Implementations must reject
-// unknown key IDs.
+// unknown key IDs and must not retain data, which may be scratch the
+// caller reuses.
 type Verifier interface {
 	Verify(keyID string, data []byte, sigHex string) bool
 }

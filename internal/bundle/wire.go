@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // The wire format is one canonical, length-prefixed binary encoding.
@@ -39,20 +40,43 @@ var ErrDecode = errors.New("bundle: undecodable bytes")
 // coverageEntry is one coverage pair, for encoding in ID order.
 type coverageEntry struct{ id, hash string }
 
-// sortedCoverage returns the coverage map's pairs sorted by ID.
-func sortedCoverage(cov map[string]string) []coverageEntry {
-	out := make([]coverageEntry, 0, len(cov))
+// sortedCoverage appends the coverage map's pairs to dst and sorts
+// them by ID.
+func sortedCoverage(dst []coverageEntry, cov map[string]string) []coverageEntry {
+	dst = slices.Grow(dst, len(cov))
 	for id, h := range cov {
-		out = append(out, coverageEntry{id, h})
+		dst = append(dst, coverageEntry{id, h})
 	}
-	slices.SortFunc(out, func(a, b coverageEntry) int { return strings.Compare(a.id, b.id) })
-	return out
+	slices.SortFunc(dst, func(a, b coverageEntry) int { return strings.Compare(a.id, b.id) })
+	return dst
+}
+
+// scratch holds the buffers a verification renders into: the sorted
+// coverage, and the bytes being hashed or checked (the signing bytes,
+// the root preimage, each record source). Verification takes it from
+// a pool: a buffer per agent would stay live on every device, and
+// fresh buffers per bundle were half of what a fan-out activation
+// allocated.
+type scratch struct {
+	cov []coverageEntry
+	buf []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns s to the pool without its references to strings.
+func (s *scratch) release() {
+	clear(s.cov)
+	s.cov = s.cov[:0]
+	scratchPool.Put(s)
 }
 
 // SigningBytes returns the canonical bytes the signature covers: the
 // wire encoding of the bundle without its keyID+sig trailer.
 func (b Bundle) SigningBytes() []byte {
-	cov := sortedCoverage(b.Manifest.Coverage)
+	cov := sortedCoverage(nil, b.Manifest.Coverage)
 	return b.appendBody(make([]byte, 0, b.bodyLen(cov)), cov)
 }
 
@@ -64,16 +88,25 @@ func (b *Bundle) SignWith(s Signer) {
 
 // CheckSig reports whether the bundle's signature verifies under v.
 func (b Bundle) CheckSig(v Verifier) bool {
+	s := getScratch()
+	defer s.release()
+	return b.checkSig(v, s)
+}
+
+// checkSig is CheckSig rendering the signing bytes into s.
+func (b *Bundle) checkSig(v Verifier, s *scratch) bool {
 	if v == nil || b.Sig == "" {
 		return false
 	}
-	return v.Verify(b.KeyID, b.SigningBytes(), b.Sig)
+	s.cov = sortedCoverage(s.cov[:0], b.Manifest.Coverage)
+	s.buf = b.appendBody(slices.Grow(s.buf[:0], b.bodyLen(s.cov)), s.cov)
+	return v.Verify(b.KeyID, s.buf, b.Sig)
 }
 
 // Encode serializes the bundle for the wire. It cannot fail; the error
 // is part of the encoder contract the distributor is written against.
 func Encode(b Bundle) ([]byte, error) {
-	cov := sortedCoverage(b.Manifest.Coverage)
+	cov := sortedCoverage(nil, b.Manifest.Coverage)
 	out := make([]byte, 0, b.bodyLen(cov)+stringLen(b.KeyID)+stringLen(b.Sig))
 	out = b.appendBody(out, cov)
 	out = appendString(out, b.KeyID)

@@ -376,7 +376,7 @@ func (c *Collective) AdmitCommand(ctrl *admission.Controller, source, target str
 	c.metrics.Counter("core.command_shed", "cause", cause).Inc()
 	ctx := map[string]string{"target": target, "cause": cause}
 	if sc.Valid() {
-		ctx["trace"] = sc.Trace.String()
+		ctx[audit.TraceKey] = sc.Trace.String()
 	}
 	c.log.Append(audit.KindAdmission, source, fmt.Sprintf("command to %s shed (%s)", target, cause), ctx)
 	return cause

@@ -569,14 +569,14 @@ func (d *Device) executeTraced(env policy.Env, g guard.Guard, snap *policy.Snaps
 			// Trace IDs are unique per span; traced appends build a
 			// fresh map.
 			entryCtx = map[string]string{
-				"event": env.Event.Type,
-				"guard": verdict.Guard,
-				"trace": trace.Trace.String(),
+				"event":        env.Event.Type,
+				"guard":        verdict.Guard,
+				audit.TraceKey: trace.Trace.String(),
 			}
 		} else {
 			entryCtx = d.actionCtx.Get2("event", env.Event.Type, "guard", verdict.Guard)
 		}
-		log.AppendOwned(audit.KindAction, d.id, actionDetail(verdict.Action), entryCtx)
+		log.Append(audit.KindAction, d.id, actionDetail(verdict.Action), entryCtx)
 	}
 	return exec
 }

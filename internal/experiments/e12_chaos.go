@@ -322,7 +322,7 @@ policy lash priority 2: on provoke do strike category kinetic-action`
 	engine.ScheduleEvery(5*time.Second, nil, func() {
 		for _, d := range collective.Devices() {
 			if !d.Deactivated() {
-				_, _ = resilience.Checkpoint(log, d)
+				_ = resilience.Checkpoint(log, d)
 			}
 		}
 	})

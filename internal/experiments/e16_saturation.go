@@ -222,9 +222,7 @@ func RunE16Workers(p E16Params, workers int) (E16Outcome, error) {
 		Duplicated: bus.Duplicated(),
 		Counts:     ctrl.Counts(),
 		JournalLen: log.Len(),
-	}
-	if entries := log.Entries(); len(entries) > 0 {
-		out.TipHash = entries[len(entries)-1].Hash
+		TipHash:    tipOf(log),
 	}
 	for _, n := range received {
 		out.Received += n

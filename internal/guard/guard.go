@@ -290,7 +290,7 @@ func (p *Pipeline) Check(ctx ActionContext) Verdict {
 					}
 				}
 				addTrace(entryCtx, ctx.Trace)
-				log.AppendOwned(audit.KindBreakGlass, ctx.Actor, v.Reason, entryCtx)
+				log.Append(audit.KindBreakGlass, ctx.Actor, v.Reason, entryCtx)
 			}
 		case DecisionDeny, DecisionDeactivate:
 			if log != nil {
@@ -325,7 +325,7 @@ func (p *Pipeline) Check(ctx ActionContext) Verdict {
 				default:
 					entryCtx = p.denyCtx.Get2("guard", v.Guard, "action", ctx.Action.Name)
 				}
-				log.AppendOwned(kind, ctx.Actor, v.Reason, entryCtx)
+				log.Append(kind, ctx.Actor, v.Reason, entryCtx)
 			}
 			return v
 		default:
@@ -341,7 +341,7 @@ func (p *Pipeline) Check(ctx ActionContext) Verdict {
 					"action": ctx.Action.Name,
 				}
 				addTrace(entryCtx, ctx.Trace)
-				log.AppendOwned(audit.KindNote, ctx.Actor, reason, entryCtx)
+				log.Append(audit.KindNote, ctx.Actor, reason, entryCtx)
 			}
 			return Verdict{
 				Decision: DecisionDeny,
@@ -363,7 +363,7 @@ func (p *Pipeline) Check(ctx ActionContext) Verdict {
 // entry to its causal span chain.
 func addTrace(entryCtx map[string]string, sc telemetry.SpanContext) {
 	if sc.Valid() {
-		entryCtx["trace"] = sc.Trace.String()
+		entryCtx[audit.TraceKey] = sc.Trace.String()
 	}
 }
 

@@ -24,21 +24,21 @@ var ErrNoCheckpoint = errors.New("resilience: no checkpoint for device")
 // crash-recovery analogue of the paper's break-glass audit requirement.
 // Policies not representable in the DSL (e.g. learned emulators) are
 // skipped and counted in the entry's context.
-func Checkpoint(log *audit.Log, d *device.Device) (audit.Entry, error) {
+func Checkpoint(log *audit.Log, d *device.Device) error {
 	if log == nil || d == nil {
-		return audit.Entry{}, errors.New("resilience: checkpoint needs a log and a device")
+		return errors.New("resilience: checkpoint needs a log and a device")
 	}
 	st := d.CurrentState()
 	if !st.Valid() {
-		return audit.Entry{}, fmt.Errorf("resilience: device %s has no valid state", d.ID())
+		return fmt.Errorf("resilience: device %s has no valid state", d.ID())
 	}
 	schemaJSON, err := json.Marshal(st.Schema().Spec())
 	if err != nil {
-		return audit.Entry{}, fmt.Errorf("resilience: marshal schema: %w", err)
+		return fmt.Errorf("resilience: marshal schema: %w", err)
 	}
 	stateJSON, err := json.Marshal(st)
 	if err != nil {
-		return audit.Entry{}, fmt.Errorf("resilience: marshal state: %w", err)
+		return fmt.Errorf("resilience: marshal state: %w", err)
 	}
 
 	var sources []string
@@ -55,7 +55,7 @@ func Checkpoint(log *audit.Log, d *device.Device) (audit.Entry, error) {
 	}
 	originsJSON, err := json.Marshal(origins)
 	if err != nil {
-		return audit.Entry{}, fmt.Errorf("resilience: marshal origins: %w", err)
+		return fmt.Errorf("resilience: marshal origins: %w", err)
 	}
 
 	ctx := map[string]string{
@@ -68,7 +68,8 @@ func Checkpoint(log *audit.Log, d *device.Device) (audit.Entry, error) {
 		ctx["skipped"] = fmt.Sprintf("%d", skipped)
 	}
 	detail := fmt.Sprintf("checkpoint: %d policies, state %s", len(sources), st)
-	return log.Append(audit.KindCheckpoint, d.ID(), detail, ctx), nil
+	log.Append(audit.KindCheckpoint, d.ID(), detail, ctx)
+	return nil
 }
 
 // Snapshot is a decoded checkpoint, ready to rebuild a device.
@@ -85,9 +86,9 @@ type Snapshot struct {
 }
 
 // LatestSnapshot verifies the journal's hash chain and decodes the
-// most recent checkpoint for the device. A broken chain refuses
-// recovery: a journal that cannot be trusted must not seed a device's
-// state.
+// most recent checkpoint for the device, which the journal finds
+// without scanning. A broken chain refuses recovery: a journal that
+// cannot be trusted must not seed a device's state.
 func LatestSnapshot(log *audit.Log, deviceID string) (Snapshot, error) {
 	if log == nil {
 		return Snapshot{}, errors.New("resilience: recovery needs a journal")
@@ -95,13 +96,11 @@ func LatestSnapshot(log *audit.Log, deviceID string) (Snapshot, error) {
 	if err := log.Verify(); err != nil {
 		return Snapshot{}, fmt.Errorf("resilience: refusing recovery: %w", err)
 	}
-	checkpoints := log.ByKind(audit.KindCheckpoint)
-	for i := len(checkpoints) - 1; i >= 0; i-- {
-		if checkpoints[i].Actor == deviceID {
-			return decodeSnapshot(checkpoints[i])
-		}
+	e, ok := log.LatestCheckpoint(deviceID)
+	if !ok {
+		return Snapshot{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, deviceID)
 	}
-	return Snapshot{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, deviceID)
+	return decodeSnapshot(e)
 }
 
 func decodeSnapshot(e audit.Entry) (Snapshot, error) {

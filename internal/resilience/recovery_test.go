@@ -45,7 +45,7 @@ func TestCheckpointAndRecover(t *testing.T) {
 	if _, err := d.HandleEvent(policy.Event{Type: "tick"}); err != nil {
 		t.Fatalf("HandleEvent: %v", err)
 	}
-	if _, err := Checkpoint(log, d); err != nil {
+	if err := Checkpoint(log, d); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 
@@ -82,13 +82,13 @@ func TestCheckpointAndRecover(t *testing.T) {
 func TestRecoverUsesLatestCheckpoint(t *testing.T) {
 	log := audit.New()
 	d := newTestDevice(t, log)
-	if _, err := Checkpoint(log, d); err != nil {
+	if err := Checkpoint(log, d); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if _, err := d.HandleEvent(policy.Event{Type: "tick"}); err != nil {
 		t.Fatalf("HandleEvent: %v", err)
 	}
-	if _, err := Checkpoint(log, d); err != nil {
+	if err := Checkpoint(log, d); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	snap, err := LatestSnapshot(log, "d1")
@@ -103,7 +103,7 @@ func TestRecoverUsesLatestCheckpoint(t *testing.T) {
 func TestRecoverRefusesTamperedJournal(t *testing.T) {
 	log := audit.New()
 	d := newTestDevice(t, log)
-	if _, err := Checkpoint(log, d); err != nil {
+	if err := Checkpoint(log, d); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	// A forged entry in an exported journal must block recovery, even
@@ -122,5 +122,31 @@ func TestRecoverUnknownDevice(t *testing.T) {
 	log := audit.New()
 	if _, err := LatestSnapshot(log, "ghost"); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("err = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestLatestSnapshotAllocsFlat: recovery decodes the one checkpoint
+// the journal indexes, so it allocates the same on a 400k-entry
+// journal as on a 4k one (the chain walk of Verify allocates nothing).
+func TestLatestSnapshotAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		log := audit.New()
+		d := newTestDevice(t, log)
+		for i := 0; i < n; i++ {
+			log.Append(audit.KindAction, "noise", "tick", nil)
+			if i == n/2 {
+				if err := Checkpoint(log, d); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := LatestSnapshot(log, "d1"); err != nil {
+				t.Fatalf("LatestSnapshot: %v", err)
+			}
+		})
+	}
+	if small, large := allocs(4_000), allocs(400_000); small != large {
+		t.Errorf("LatestSnapshot allocs/run: %v on 4k entries, %v on 400k", small, large)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		TraceID: trace.String(),
 		Spans:   len(spans),
 		Roots:   buildSpanTree(spans),
-		Audit:   s.auditForTrace(trace.String()),
+		Audit:   s.log.ByTrace(trace.String()),
 	}
 	if err := telemetry.CheckConnected(spans); err != nil {
 		view.Issue = err.Error()
@@ -109,15 +109,3 @@ func buildSpanTree(spans []Span) []*SpanNode {
 
 // Span aliases telemetry.Span for buildSpanTree's signature.
 type Span = telemetry.Span
-
-// auditForTrace returns the journal entries stamped with this trace
-// ID (guard denials and executed actions carry Context["trace"]).
-func (s *Server) auditForTrace(trace string) []audit.Entry {
-	var out []audit.Entry
-	for _, e := range s.log.Entries() {
-		if e.Context["trace"] == trace {
-			out = append(out, e)
-		}
-	}
-	return out
-}

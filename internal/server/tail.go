@@ -60,12 +60,11 @@ func (s *Server) handleAuditTail(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Clamp From to the tip before reading, not after: the log only
+	// grows, so EntriesSince then anchors exactly at From, and the
+	// header stays verifiable when appends land between the two calls.
+	from = min(from, s.log.Len())
 	entries, prev := s.log.EntriesSince(from)
-	// Clamp the echoed From the way EntriesSince clamps its argument,
-	// so header + entries always form a verifiable pair.
-	if from > s.log.Len() {
-		from = s.log.Len()
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -141,6 +141,46 @@ func TestAuditTailFromOffset(t *testing.T) {
 	}
 }
 
+// TestAuditTailBeyondTipWhileAppending opens follow streams from
+// beyond the tip, the polling pattern EntriesSince documents, while a
+// goroutine keeps appending. The header's From and anchor must come
+// from one tip even when the log grows during the request, so every
+// header plus received prefix verifies.
+func TestAuditTailBeyondTipWhileAppending(t *testing.T) {
+	f := newTestFleet(t, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				f.log.Append(audit.KindNote, "writer", fmt.Sprintf("append %d", i), nil)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/audit/tail?from=%d&follow=true&poll=5", f.base, 1<<30))
+		if err != nil {
+			t.Fatalf("GET /v1/audit/tail: %v", err)
+		}
+		hdr, entries := readTail(t, resp, 3)
+		if len(entries) != 3 {
+			t.Fatalf("stream %d: %d entries, want 3", i, len(entries))
+		}
+		if hdr.From >= 1<<30 {
+			t.Fatalf("stream %d: header from = %d, want the tip", i, hdr.From)
+		}
+	}
+}
+
 // TestAuditTailValidation covers the query-parameter error paths.
 func TestAuditTailValidation(t *testing.T) {
 	f := newTestFleet(t, nil)

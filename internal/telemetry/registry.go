@@ -1,10 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -92,19 +91,30 @@ func (s Sample) LabelString() string {
 }
 
 func labelString(labels []Label) string {
+	var buf [keyBuf]byte
+	return string(appendLabels(buf[:0], labels))
+}
+
+// keyBuf sizes the stack buffers keys are rendered into; longer keys
+// spill to the heap.
+const keyBuf = 128
+
+// appendLabels appends the canonical label rendering; a value is
+// quoted as fmt's %q quotes a string.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
 // Registry interns metric handles by (name, labels). Handle lookup
@@ -153,11 +163,11 @@ func labelsFromKV(kv []string) []Label {
 	return labels
 }
 
-func metricKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	return name + labelString(labels)
+// metricKey appends the registry key of (name, labels). Lookups index
+// with string(key), which does not allocate; only a new metric's key
+// becomes a string.
+func metricKey(b []byte, name string, labels []Label) []byte {
+	return appendLabels(append(b, name...), labels)
 }
 
 // Counter interns the counter for (name, labels). Labels are given as
@@ -167,14 +177,15 @@ func (r *Registry) Counter(name string, kv ...string) *Counter {
 		return nil
 	}
 	labels := labelsFromKV(kv)
-	key := metricKey(name, labels)
+	var buf [keyBuf]byte
+	key := metricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.counters[key]; ok {
+	if e, ok := r.counters[string(key)]; ok {
 		return e.metric
 	}
 	e := &metricEntry[*Counter]{name: name, labels: labels, metric: &Counter{}}
-	r.counters[key] = e
+	r.counters[string(key)] = e
 	return e.metric
 }
 
@@ -184,14 +195,15 @@ func (r *Registry) Gauge(name string, kv ...string) *Gauge {
 		return nil
 	}
 	labels := labelsFromKV(kv)
-	key := metricKey(name, labels)
+	var buf [keyBuf]byte
+	key := metricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.gauges[key]; ok {
+	if e, ok := r.gauges[string(key)]; ok {
 		return e.metric
 	}
 	e := &metricEntry[*Gauge]{name: name, labels: labels, metric: &Gauge{}}
-	r.gauges[key] = e
+	r.gauges[string(key)] = e
 	return e.metric
 }
 
@@ -210,14 +222,15 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, kv ...string)
 		return nil
 	}
 	labels := labelsFromKV(kv)
-	key := metricKey(name, labels)
+	var buf [keyBuf]byte
+	key := metricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.histograms[key]; ok {
+	if e, ok := r.histograms[string(key)]; ok {
 		return e.metric
 	}
 	e := &metricEntry[*Histogram]{name: name, labels: labels, metric: newHistogram(bounds)}
-	r.histograms[key] = e
+	r.histograms[string(key)] = e
 	return e.metric
 }
 

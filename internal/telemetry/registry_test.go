@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -157,5 +159,31 @@ func TestCheckNames(t *testing.T) {
 	}
 	if err := CheckNames([]string{"bus.delivered", "bogus.name"}); err == nil {
 		t.Error("CheckNames must surface unregistered names")
+	}
+}
+
+// TestLabelStringMatchesFmt: label values render exactly as fmt's %q
+// rendered them, for values that need escaping and for keys longer
+// than the stack buffer.
+func TestLabelStringMatchesFmt(t *testing.T) {
+	values := []string{
+		"", "plain", `say "hi"`, `back\slash`, "new\nline", "tab\tand\r",
+		"invalid \xff\xfe utf-8", "héllo→世界", "\x00\x7f", "\u2028", strings.Repeat("long ", 40),
+	}
+	for _, v := range values {
+		labels := []Label{{Key: "a", Value: v}, {Key: "b", Value: "x"}}
+		want := fmt.Sprintf("{a=%q,b=%q}", v, "x")
+		if got := labelString(labels); got != want {
+			t.Errorf("labelString(%q) = %s, want %s", v, got, want)
+		}
+		if got := string(metricKey(nil, "m", labels)); got != "m"+want {
+			t.Errorf("metricKey(%q) = %s, want m%s", v, got, want)
+		}
+	}
+	if got := labelString(nil); got != "" {
+		t.Errorf("labelString(nil) = %q, want empty", got)
+	}
+	if got := string(metricKey(nil, "m", nil)); got != "m" {
+		t.Errorf("metricKey without labels = %q, want m", got)
 	}
 }
