@@ -100,12 +100,14 @@ serve-smoke:
 # skynetsim's differentials, which run every combination of scenario
 # blocks at 1, 2 and 4 workers; the keyed bus fault draws, from
 # sharded senders to one sink and from a two-root fan-out; and the
-# engine's queue order against a reference (time, seq) heap; and the
-# compact journal against the slice-of-entries reference it replaced.
+# engine's queue order against a reference (time, seq) heap; the
+# compact journal against the slice-of-entries reference it replaced;
+# two HMAC keys sharing an ID verifying through pooled MAC states; and
+# registry handle hits and misses on one registry.
 test-race:
 	go test -race ./internal/...
-	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario|TestBusShardedSendersDeterministic|TestDistributorTwoRootsDeterministic|TestQueueOrder|TestCompactMatchesReference' \
-		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./internal/network ./internal/audit ./cmd/skynetsim
+	go test -race -count=2 -run 'TestParallelDeterminism|TestE15Determinism|TestPropertyScratchJournalPinned|TestRoutedReentry|TestConcurrentHandleAndSense|TestDistributorLaggingBooks|TestDifferentialResidualVsFull|TestResidualConcurrentSpecialize|TestFailClosed|TestRecordTable|TestRunBlockCombinations|TestRunParallelScenario|TestBusShardedSendersDeterministic|TestDistributorTwoRootsDeterministic|TestQueueOrder|TestCompactMatchesReference|TestHMACKeysSharingIDConcurrent|TestRegistryConcurrentHitsAndMisses' \
+		./internal/sim ./internal/experiments ./internal/device ./internal/core ./internal/policy ./internal/bundle ./internal/network ./internal/audit ./internal/telemetry ./cmd/skynetsim
 
 race:
 	go test -race ./...

@@ -138,7 +138,7 @@ func run(args []string, out io.Writer) error {
 	if err := g.resolveTargets(); err != nil {
 		return err
 	}
-	if err := telemetry.CheckNames(reg.Names()); err != nil {
+	if err := telemetry.CheckSamples(reg.Snapshot()); err != nil {
 		return fmt.Errorf("loadgen metric names: %w", err)
 	}
 

@@ -112,8 +112,8 @@ func TestLoadgenMetricNames(t *testing.T) {
 	reg.Counter("loadgen.requests", "result", "shed")
 	reg.Counter("loadgen.requests", "result", "error")
 	reg.Counter("loadgen.overflow")
-	if err := telemetry.CheckNames(reg.Names()); err != nil {
-		t.Errorf("CheckNames: %v", err)
+	if err := telemetry.CheckSamples(reg.Snapshot()); err != nil {
+		t.Errorf("CheckSamples: %v", err)
 	}
 }
 

@@ -195,3 +195,26 @@ func BenchmarkBundleVerifyReject(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKeyRingVerifyHMAC measures one HMAC tag check through a key
+// ring, the verify each subscriber's activation pays; compare
+// BenchmarkHMACKeyVerify, which keys a new MAC per call.
+func BenchmarkKeyRingVerifyHMAC(b *testing.B) {
+	benchVerify(b, NewKeyRing().Add(testKey().ID, testKey(), Scope{}))
+}
+
+// BenchmarkHMACKeyVerify is BenchmarkKeyRingVerifyHMAC on the bare key.
+func BenchmarkHMACKeyVerify(b *testing.B) { benchVerify(b, testKey()) }
+
+func benchVerify(b *testing.B, v Verifier) {
+	data := make([]byte, 971)
+	key := testKey()
+	sig := key.Sign(data)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !v.Verify(key.ID, data, sig) {
+			b.Fatal("valid tag refused")
+		}
+	}
+}

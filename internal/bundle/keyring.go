@@ -121,8 +121,13 @@ func NewKeyRing() *KeyRing {
 
 // Add binds a verifier and its scope to a key ID, replacing any
 // previous binding. The verifier still checks the key ID itself, so a
-// ring entry registered under the wrong name cannot verify.
+// ring entry registered under the wrong name cannot verify. An HMACKey
+// is bound with a pool of MAC states keyed with its own secret (a copy
+// taken here), so the entry verifies without keying a new MAC per call.
 func (r *KeyRing) Add(keyID string, v Verifier, scope Scope) *KeyRing {
+	if k, ok := v.(HMACKey); ok {
+		v = newPooledHMAC(k)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries[keyID] = ringEntry{v: v, scope: scope}

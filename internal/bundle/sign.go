@@ -1,11 +1,14 @@
 package bundle
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
+	"hash"
+	"sync"
 )
 
 // Signer produces signatures the fleet's Verifier accepts.
@@ -40,21 +43,83 @@ func (k HMACKey) Sign(data []byte) string {
 }
 
 // Verify checks the tag in constant time; a foreign key ID fails.
+// Each call keys a new MAC state; a KeyRing holding the key reuses
+// them (see KeyRing.Add).
 func (k HMACKey) Verify(keyID string, data []byte, sigHex string) bool {
 	if subtle.ConstantTimeCompare([]byte(keyID), []byte(k.ID)) != 1 {
 		return false
 	}
-	got, err := hex.DecodeString(sigHex)
-	if err != nil {
-		return false
-	}
-	return hmac.Equal(k.mac(data), got)
+	return checkTag(hmac.New(sha256.New, k.Secret), data, sigHex)
 }
 
 func (k HMACKey) mac(data []byte) []byte {
 	m := hmac.New(sha256.New, k.Secret)
 	m.Write(data)
 	return m.Sum(nil)
+}
+
+// pooledHMAC verifies like HMACKey, reusing keyed MAC states: its
+// free list holds states keyed with its own secret only, each reset
+// before it goes back, so a verify neither keys a MAC nor allocates
+// one. Unlike a sync.Pool, the list survives GC and is shared by every
+// P, so a verify allocates the same on every call.
+type pooledHMAC struct {
+	id     string
+	secret []byte
+	mu     sync.Mutex
+	free   []hash.Hash
+}
+
+// maxFreeMACs bounds the states one key keeps between verifies: one
+// per engine worker verifying at once, with room to spare.
+const maxFreeMACs = 8
+
+func newPooledHMAC(k HMACKey) *pooledHMAC {
+	return &pooledHMAC{id: k.ID, secret: bytes.Clone(k.Secret)}
+}
+
+// Verify checks the tag in constant time; a foreign key ID fails.
+func (v *pooledHMAC) Verify(keyID string, data []byte, sigHex string) bool {
+	if subtle.ConstantTimeCompare([]byte(keyID), []byte(v.id)) != 1 {
+		return false
+	}
+	var m hash.Hash
+	v.mu.Lock()
+	if n := len(v.free); n > 0 {
+		m = v.free[n-1]
+		v.free = v.free[:n-1]
+	}
+	v.mu.Unlock()
+	if m == nil {
+		m = hmac.New(sha256.New, v.secret)
+	}
+	ok := checkTag(m, data, sigHex)
+	m.Reset()
+	v.mu.Lock()
+	if len(v.free) < maxFreeMACs {
+		v.free = append(v.free, m)
+	}
+	v.mu.Unlock()
+	return ok
+}
+
+// checkTag reports whether sigHex is the hex HMAC-SHA256 tag that m, a
+// freshly keyed or reset MAC state, computes over data. The tag is
+// decoded onto the stack; a tag of the wrong length or with a non-hex
+// digit fails.
+func checkTag(m hash.Hash, data []byte, sigHex string) bool {
+	var src [2 * sha256.Size]byte
+	if len(sigHex) != len(src) {
+		return false
+	}
+	copy(src[:], sigHex)
+	var tag [sha256.Size]byte
+	if _, err := hex.Decode(tag[:], src[:]); err != nil {
+		return false
+	}
+	m.Write(data)
+	var sum [sha256.Size]byte
+	return hmac.Equal(m.Sum(sum[:0]), tag[:])
 }
 
 // Ed25519Signer signs with an ed25519 private key — the asymmetric

@@ -149,10 +149,12 @@ func New(cfg Config) (*Collective, error) {
 
 // Instrument attaches telemetry to the collective: command/delivery
 // counters, a tracer for root spans, and decision-plane metrics
-// (policy.epoch, policy.compiles, policy.compile_ms, policy.evaluate_ms
-// labeled by device) on every current and future member's policy set.
-// Either argument may be nil. Setup-time only — not safe concurrently
-// with AddDevice or Command.
+// (policy.compiles, policy.compile_ms, policy.evaluate_ms and the
+// policy.residual_* counters, labeled by device type and org) on every
+// current and future member's policy set. Members of one type and org
+// share each series; per-device epochs and residuals are served by
+// GET /v1/fleet. Either argument may be nil. Setup-time only — not
+// safe concurrently with AddDevice or Command.
 func (c *Collective) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	c.metrics = reg
 	c.tracer = tracer
@@ -163,7 +165,7 @@ func (c *Collective) Instrument(reg *telemetry.Registry, tracer *telemetry.Trace
 		c.deliveries = reg.Counter("core.deliveries")
 	}
 	for _, d := range c.Devices() {
-		d.Policies().Instrument(reg, "device", d.ID())
+		d.InstrumentPolicies(reg)
 	}
 }
 
@@ -229,7 +231,7 @@ func (c *Collective) AddDevice(d *device.Device, attrs map[string]float64) error
 	c.mu.Unlock()
 
 	if c.metrics != nil {
-		d.Policies().Instrument(c.metrics, "device", d.ID())
+		d.InstrumentPolicies(c.metrics)
 	}
 
 	return c.registry.Announce(network.DeviceInfo{
@@ -469,22 +471,6 @@ func (c *Collective) handlerFor(id string) network.LaneHandler {
 			// bus has booked the message as delivered.
 			return
 		}
-	}
-}
-
-// RecordPolicyMetrics publishes each member's decision-plane counters
-// into the registry as device-labeled gauges: policy.epoch (snapshot
-// epoch last evaluated under), policy.compiles and policy.compile_ms
-// (latest compile latency). A nil registry is a no-op.
-func (c *Collective) RecordPolicyMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, d := range c.Devices() {
-		stats := d.Policies().Stats()
-		reg.Gauge("policy.epoch", "device", d.ID()).Set(float64(d.PolicyEpoch()))
-		reg.Gauge("policy.compiles", "device", d.ID()).Set(float64(stats.Compiles))
-		reg.Gauge("policy.compile_ms", "device", d.ID()).Set(float64(stats.LastCompile.Microseconds()) / 1000)
 	}
 }
 

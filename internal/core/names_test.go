@@ -30,11 +30,12 @@ func mustCompileOne(t *testing.T, src string) policy.Policy {
 
 // TestMetricNamesUnified drives every instrumented subsystem against
 // one registry and asserts each registered metric name follows the
-// subsystem.name convention and appears in the telemetry taxonomy — a
-// misspelled or unregistered name at any call site fails here instead
-// of silently forking a new time series. The server.* and loadgen.*
+// subsystem.name convention and appears in the telemetry taxonomy, and
+// that each sample carries exactly its declared label keys — a
+// misspelled or unregistered name or key at any call site fails here
+// instead of silently forking a new time series. The server.* and loadgen.*
 // families register above core in the import graph; their real call
-// sites get the same CheckNames audit in internal/server
+// sites get the same CheckSamples audit in internal/server
 // (TestServerMetricsAndNames) and cmd/loadgen (TestLoadgenMetricNames).
 func TestMetricNamesUnified(t *testing.T) {
 	log := audit.New()
@@ -189,7 +190,7 @@ func TestMetricNamesUnified(t *testing.T) {
 	// The residual specialization counters must have moved at their
 	// real call site: every dispatched command above decided through
 	// the device's residual, so at least one specialization compiled.
-	if v := reg.Counter("policy.residual_compiles", "device", "d1").Value(); v == 0 {
+	if v := reg.Counter("policy.residual_compiles", "type", "drone", "org", "").Value(); v == 0 {
 		t.Error("policy.residual_compiles never incremented: commands did not decide through a residual")
 	}
 
@@ -200,7 +201,7 @@ func TestMetricNamesUnified(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := telemetry.CheckNames(reg.Names()); err != nil {
-		t.Errorf("metric name audit failed:\n%v", err)
+	if err := telemetry.CheckSamples(reg.Snapshot()); err != nil {
+		t.Errorf("metric name and label audit failed:\n%v", err)
 	}
 }

@@ -95,11 +95,5 @@ func (d *Dispatcher) Command(ev policy.Event) (sent, failed int) {
 		span.Finish()
 	}
 	root.Finish()
-	if d.Collective != nil {
-		// Snapshot epochs and compile latency move when commands land
-		// on devices whose sets were just mutated; publish them with
-		// the dispatch outcome so operators see both planes together.
-		d.Collective.RecordPolicyMetrics(d.Metrics)
-	}
 	return sent, failed
 }

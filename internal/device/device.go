@@ -69,8 +69,10 @@ type Config struct {
 	// a whole fleet's (or shard's) state vectors contiguously.
 	Arena *statespace.Arena
 	// Telemetry, when set, counts handled events (device.events) and
-	// execution outcomes (device.executions). Nil disables the counters
-	// at zero cost.
+	// execution outcomes (device.executions) under the bounded keys
+	// Type and Organization, so every device of one type and org
+	// shares its counters; InstrumentPolicies labels the policy set's
+	// metrics the same way. Nil disables the counters at zero cost.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, emits one span per handled event and per
 	// executed action, parented on the trace context carried in the
@@ -195,15 +197,31 @@ func New(cfg Config) (*Device, error) {
 		d.profile = policy.DeviceProfile(cfg.Type, cfg.Organization)
 	}
 	if reg := cfg.Telemetry; reg != nil {
-		d.events = reg.Counter("device.events", "device", cfg.ID)
-		d.execExecuted = reg.Counter("device.executions", "device", cfg.ID, "result", "executed")
-		d.execDenied = reg.Counter("device.executions", "device", cfg.ID, "result", "denied")
-		d.execError = reg.Counter("device.executions", "device", cfg.ID, "result", "error")
+		d.events = reg.Counter("device.events", d.seriesLabels()...)
+		d.execExecuted = reg.Counter("device.executions", d.seriesLabels("result", "executed")...)
+		d.execDenied = reg.Counter("device.executions", d.seriesLabels("result", "denied")...)
+		d.execError = reg.Counter("device.executions", d.seriesLabels("result", "error")...)
 	}
 	if err := d.trajectory.Append(cfg.Initial); err != nil {
 		return nil, fmt.Errorf("device %s: %w", cfg.ID, err)
 	}
 	return d, nil
+}
+
+// seriesLabels returns the label pairs of every series the device
+// feeds, followed by extra: the bounded keys type and org, never the
+// device ID, so every device of one type and org shares each series.
+// The slice has room for one extra pair, so it stays on the caller's
+// stack.
+func (d *Device) seriesLabels(extra ...string) []string {
+	return append(append(make([]string, 0, 6), "type", d.typ, "org", d.org), extra...)
+}
+
+// InstrumentPolicies publishes the device's policy-set metrics (see
+// policy.Set.Instrument) into reg under the same labels as its
+// device.* counters; a nil registry removes them.
+func (d *Device) InstrumentPolicies(reg *telemetry.Registry) {
+	d.policies.Instrument(reg, d.seriesLabels()...)
 }
 
 // ID returns the device identifier.

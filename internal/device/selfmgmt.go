@@ -72,13 +72,13 @@ func (m *Manager) Tick(now time.Time) (TickReport, error) {
 //     (serialized by the device mutex; exclusive because at most one
 //     event per shard runs at a time),
 //   - the device's compiled policy snapshot (immutable, lock-free),
-//   - telemetry counters and device-labeled gauges (atomic and
-//     commutative, so snapshots stay deterministic at any worker
-//     count),
+//   - telemetry counters and histograms, shared by every device of
+//     one type and org (atomic and commutative, so counts stay
+//     deterministic at any worker count),
 //   - the shared audit log — only through the journal, which buffers
 //     appends for the engine's deterministic (time, seq) merge.
 //
-// Ticks must not mutate other devices, un-labeled gauges, or shared
+// Ticks must not mutate other devices, gauges, or shared
 // maps/slices; anything outside this list belongs in a barrier
 // (unkeyed) event.
 func (m *Manager) TickWith(now time.Time, j audit.Journal) (TickReport, error) {

@@ -137,7 +137,9 @@ type Pipeline struct {
 
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
-	instr   map[string]*guardInstruments
+	// instr holds guard i's handles at index i; nil when the pipeline
+	// has no registry.
+	instr []guardInstruments
 }
 
 // guardInstruments caches one guard's metric handles so the per-check
@@ -179,37 +181,26 @@ func (p *Pipeline) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer)
 	p.metrics = reg
 	p.tracer = tracer
 	p.instr = nil
-	if reg == nil {
-		return
-	}
-	p.instr = make(map[string]*guardInstruments, len(p.guards))
-	for _, g := range p.guards {
-		p.instrumentsFor(g.Name())
-	}
+	p.instrument(p.guards)
 }
 
-// instrumentsFor returns (creating on first use) the cached handles
-// for one guard name.
-func (p *Pipeline) instrumentsFor(name string) *guardInstruments {
+// instrument resolves the handles of guards, the pipeline's trailing
+// stages, into p.instr.
+func (p *Pipeline) instrument(guards []Guard) {
 	if p.metrics == nil {
-		return nil
+		return
 	}
-	if gi, ok := p.instr[name]; ok {
-		return gi
+	for _, g := range guards {
+		name := g.Name()
+		p.instr = append(p.instr, guardInstruments{
+			allow:      p.metrics.Counter("guard.decisions", "guard", name, "decision", "allow"),
+			deny:       p.metrics.Counter("guard.decisions", "guard", name, "decision", "deny"),
+			deactivate: p.metrics.Counter("guard.decisions", "guard", name, "decision", "deactivate"),
+			breakGlass: p.metrics.Counter("guard.break_glass", "guard", name),
+			invalid:    p.metrics.Counter("guard.invalid_decision", "guard", name),
+			checkMS:    p.metrics.Histogram("guard.check_ms", "guard", name),
+		})
 	}
-	gi := &guardInstruments{
-		allow:      p.metrics.Counter("guard.decisions", "guard", name, "decision", "allow"),
-		deny:       p.metrics.Counter("guard.decisions", "guard", name, "decision", "deny"),
-		deactivate: p.metrics.Counter("guard.decisions", "guard", name, "decision", "deactivate"),
-		breakGlass: p.metrics.Counter("guard.break_glass", "guard", name),
-		invalid:    p.metrics.Counter("guard.invalid_decision", "guard", name),
-		checkMS:    p.metrics.Histogram("guard.check_ms", "guard", name),
-	}
-	if p.instr == nil {
-		p.instr = make(map[string]*guardInstruments)
-	}
-	p.instr[name] = gi
-	return gi
 }
 
 // observe records one guard verdict into the cached handles.
@@ -244,12 +235,14 @@ func (p *Pipeline) Check(ctx ActionContext) Verdict {
 	lastReason := "all guards passed"
 	log := audit.Resolve(ctx.Journal, p.log)
 	instrumented := p.metrics != nil || p.tracer != nil
-	for _, g := range p.guards {
+	for i, g := range p.guards {
 		var gi *guardInstruments
 		var span *telemetry.Span
 		var start time.Time
 		if instrumented {
-			gi = p.instr[g.Name()]
+			if p.instr != nil {
+				gi = &p.instr[i]
+			}
 			span = p.tracer.StartSpan("guard.check", ctx.Actor, ctx.Trace)
 			span.SetAttr("guard", g.Name())
 			span.SetAttr("action", current.Action.Name)
@@ -372,11 +365,7 @@ func addTrace(entryCtx map[string]string, sc telemetry.SpanContext) {
 func (p *Pipeline) Append(guards ...Guard) {
 	p.guards = append(p.guards, guards...)
 	p.rename()
-	if p.metrics != nil {
-		for _, g := range guards {
-			p.instrumentsFor(g.Name())
-		}
-	}
+	p.instrument(guards)
 }
 
 // AllowAll is a guard that permits everything; useful as an

@@ -74,7 +74,7 @@ func BenchmarkEvaluate10k(b *testing.B) { benchEvaluate(b, 10000) }
 // for the instrumentation overhead (see EXPERIMENTS.md E14).
 func BenchmarkEvaluate1kInstrumented(b *testing.B) {
 	set, envs := benchSet(b, 1000)
-	set.Instrument(telemetry.NewRegistry(), "device", "bench")
+	set.Instrument(telemetry.NewRegistry(), "type", "bench", "org", "bench")
 	set.Evaluate(envs[0]) // warm any compile path before timing
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -90,7 +90,7 @@ func TestEvaluateInstrumentationAllocs(t *testing.T) {
 	plain, envs := benchSet(t, 1000)
 	plain.Evaluate(envs[0])
 	instrumented, envs2 := benchSet(t, 1000)
-	instrumented.Instrument(telemetry.NewRegistry(), "device", "bench")
+	instrumented.Instrument(telemetry.NewRegistry(), "type", "bench", "org", "bench")
 	instrumented.Evaluate(envs2[0])
 
 	const rounds = 200

@@ -110,21 +110,20 @@ func TaxonomyMatcher(t *ontology.Taxonomy) CategoryMatcher {
 // are resolved once in Instrument; the hot path only nil-checks.
 type setInstruments struct {
 	evaluateMS *telemetry.Histogram
-	epoch      *telemetry.Gauge
-	compiles   *telemetry.Gauge
-	compileMS  *telemetry.Gauge
+	compiles   *telemetry.Counter
+	compileMS  *telemetry.Histogram
 }
 
 // Instrument publishes the set's decision-plane metrics into the
-// registry under policy.epoch, policy.compiles, policy.compile_ms
-// (gauges), policy.evaluate_ms (a latency histogram), the
+// registry: policy.compiles (a counter) and policy.compile_ms and
+// policy.evaluate_ms (latency histograms), plus the
 // policy.residual_compiles / policy.residual_hits /
-// policy.residual_misses specialization counters and the
-// policy.residual_size gauge, all carrying the given labels (typically
-// "device", <id>). It replaces the ad-hoc per-device gauge names of
-// earlier revisions. Instrumenting forces one recompile so the
-// published snapshot carries the evaluate timer; a nil registry
-// removes instrumentation.
+// policy.residual_misses specialization counters, all carrying the
+// given labels. Collectives pass the bounded keys "type" and "org",
+// so every set of one device type and org shares one handle per
+// metric. Instrumenting forces one recompile so the published
+// snapshot carries the evaluate timer; a nil registry removes
+// instrumentation.
 func (s *Set) Instrument(reg *telemetry.Registry, labels ...string) {
 	if reg == nil {
 		s.instr.Store(nil)
@@ -134,15 +133,13 @@ func (s *Set) Instrument(reg *telemetry.Registry, labels ...string) {
 	}
 	s.instr.Store(&setInstruments{
 		evaluateMS: reg.Histogram("policy.evaluate_ms", labels...),
-		epoch:      reg.Gauge("policy.epoch", labels...),
-		compiles:   reg.Gauge("policy.compiles", labels...),
-		compileMS:  reg.Gauge("policy.compile_ms", labels...),
+		compiles:   reg.Counter("policy.compiles", labels...),
+		compileMS:  reg.Histogram("policy.compile_ms", labels...),
 	})
 	s.resStats.instr.Store(&residualInstruments{
 		compiles: reg.Counter("policy.residual_compiles", labels...),
 		hits:     reg.Counter("policy.residual_hits", labels...),
 		misses:   reg.Counter("policy.residual_misses", labels...),
-		size:     reg.Gauge("policy.residual_size", labels...),
 	})
 	s.snap.Store(nil)
 }
@@ -384,9 +381,8 @@ func (s *Set) Snapshot() *Snapshot {
 	s.stats.totalCompile += snap.compileTime
 	if in := s.instr.Load(); in != nil {
 		snap.evalMS = in.evaluateMS
-		in.epoch.Set(float64(s.stats.epoch))
-		in.compiles.Set(float64(s.stats.compiles))
-		in.compileMS.Set(float64(snap.compileTime.Nanoseconds()) / 1e6)
+		in.compiles.Inc()
+		in.compileMS.Observe(float64(snap.compileTime.Nanoseconds()) / 1e6)
 	}
 	s.snap.Store(snap)
 	return snap

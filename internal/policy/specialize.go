@@ -57,7 +57,6 @@ type residualInstruments struct {
 	compiles *telemetry.Counter
 	hits     *telemetry.Counter
 	misses   *telemetry.Counter
-	size     *telemetry.Gauge
 }
 
 // ResidualFingerprint returns the profile fingerprint a residual
@@ -82,12 +81,12 @@ func (s *Snapshot) ResidualFingerprint() string { return s.residualFP }
 func (s *Snapshot) Specialize(profile StaticEnv) *Residual {
 	fp := profile.Fingerprint()
 	if r := s.res1.Load(); r != nil && r.profile.Fingerprint() == fp {
-		s.countResidual(true, false, r)
+		s.countResidual(true, false)
 		return r
 	}
 	if cached, ok := s.residuals.Load(fp); ok {
 		r := cached.(*Residual)
-		s.countResidual(true, false, r)
+		s.countResidual(true, false)
 		return r
 	}
 	r := s.specialize(profile, fp)
@@ -97,18 +96,18 @@ func (s *Snapshot) Specialize(profile StaticEnv) *Residual {
 		// Specialize that lost the race overflows to the map below and
 		// returns an equal residual — pointer identity across racers is
 		// not part of the contract.
-		s.countResidual(false, true, r)
+		s.countResidual(false, true)
 		return r
 	}
 	actual, loaded := s.residuals.LoadOrStore(fp, r)
 	r = actual.(*Residual)
-	s.countResidual(false, !loaded, r)
+	s.countResidual(false, !loaded)
 	return r
 }
 
 // countResidual books one Specialize outcome into the set-lifetime
 // stats and (when instrumented) the policy.residual_* series.
-func (s *Snapshot) countResidual(hit, compiled bool, r *Residual) {
+func (s *Snapshot) countResidual(hit, compiled bool) {
 	rs := s.resStats
 	if rs == nil {
 		return
@@ -132,7 +131,6 @@ func (s *Snapshot) countResidual(hit, compiled bool, r *Residual) {
 	}
 	if compiled {
 		in.compiles.Inc()
-		in.size.Set(float64(len(r.sorted)))
 	}
 }
 

@@ -342,7 +342,7 @@ func TestEngineInstrument(t *testing.T) {
 	if sum := reg.Histogram("engine.segment_events").Sum(); sum != periods*shards {
 		t.Errorf("segment_events sum = %g, want %d", sum, periods*shards)
 	}
-	if err := telemetry.CheckNames(reg.Names()); err != nil {
+	if err := telemetry.CheckSamples(reg.Snapshot()); err != nil {
 		t.Error(err)
 	}
 	if !reflect.DeepEqual(instrumented, run(2, nil)) {

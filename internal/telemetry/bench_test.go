@@ -61,6 +61,6 @@ func BenchmarkRegistryCounterLookup(b *testing.B) {
 	reg := NewRegistry()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		reg.Counter("bench.counter", "device", "d1")
+		reg.Counter("bench.counter", "type", "drone", "org", "us")
 	}
 }

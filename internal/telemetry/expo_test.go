@@ -18,7 +18,7 @@ func buildExpoRegistry() *Registry {
 	r.Counter("bus.delivered").Add(10)
 	r.Counter("bus.dropped", "cause", "loss").Add(3)
 	r.Counter("bus.dropped", "cause", "partition").Add(1)
-	r.Gauge("policy.epoch", "device", "d1").Set(4)
+	r.Gauge("bundle.revision", "root", "us").Set(4)
 	h := r.Histogram("guard.check_ms", "guard", "pre-action")
 	h.Observe(0.02)
 	h.Observe(3)
@@ -36,12 +36,12 @@ func TestWriteMetricsFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE bus_delivered counter",
 		"# TYPE bus_dropped counter",
-		"# TYPE policy_epoch gauge",
+		"# TYPE bundle_revision gauge",
 		"# TYPE guard_check_ms histogram",
 		"# HELP bus_delivered ",
 		`bus_dropped{cause="loss"} 3`,
 		`bus_dropped{cause="partition"} 1`,
-		`policy_epoch{device="d1"} 4`,
+		`bundle_revision{root="us"} 4`,
 		`guard_check_ms_bucket{guard="pre-action",le="+Inf"} 3`,
 		`guard_check_ms_count{guard="pre-action"} 3`,
 	} {

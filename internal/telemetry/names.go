@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,6 +13,11 @@ import (
 // Every name the framework emits is declared here; CheckName rejects
 // anything else, and the telemetry test suite runs the full stack and
 // fails on unregistered or misspelled names at call sites.
+//
+// Label keys are bounded: a label's values come from a small fixed set
+// (a cause, a guard, a device type or org), never from a per-instance
+// identity such as a device ID, so the series count does not grow with
+// the fleet. CheckSamples holds every emitted sample to its Def's keys.
 
 // Def declares one framework metric.
 type Def struct {
@@ -19,8 +25,8 @@ type Def struct {
 	Name string
 	// Kind is the metric family.
 	Kind Kind
-	// Labels lists the label keys the metric is emitted with (empty
-	// for unlabeled metrics).
+	// Labels lists the label keys every sample of the metric carries
+	// (empty for unlabeled metrics).
 	Labels []string
 	// Help is the one-line exposition help text.
 	Help string
@@ -56,15 +62,14 @@ var defs = []Def{
 	{Name: "core.deliveries", Kind: KindCounter, Help: "Targeted event deliveries to collective members."},
 	{Name: "core.command_shed", Kind: KindCounter, Labels: []string{"cause"}, Help: "Human-command targets shed by the admission gate before delivery (server and dispatcher), by cause; each is also audited."},
 
-	// policy — the compiled decision plane.
-	{Name: "policy.epoch", Kind: KindGauge, Labels: []string{"device"}, Help: "Snapshot epoch the device last evaluated under."},
-	{Name: "policy.compiles", Kind: KindGauge, Labels: []string{"device"}, Help: "Snapshot compilations over the policy set's lifetime."},
-	{Name: "policy.compile_ms", Kind: KindGauge, Labels: []string{"device"}, Help: "Latest snapshot compile latency in milliseconds."},
-	{Name: "policy.evaluate_ms", Kind: KindHistogram, Labels: []string{"device"}, Help: "Policy snapshot evaluation latency in milliseconds."},
-	{Name: "policy.residual_compiles", Kind: KindCounter, Labels: []string{"device"}, Help: "Residual snapshots specialized (partial evaluations actually run)."},
-	{Name: "policy.residual_hits", Kind: KindCounter, Labels: []string{"device"}, Help: "Specialize calls served from the per-snapshot residual cache."},
-	{Name: "policy.residual_misses", Kind: KindCounter, Labels: []string{"device"}, Help: "Specialize calls that missed the residual cache."},
-	{Name: "policy.residual_size", Kind: KindGauge, Labels: []string{"device"}, Help: "Policies surviving in the most recently compiled residual."},
+	// policy — the compiled decision plane, by device type and org.
+	// Per-device epochs and residuals are served by GET /v1/fleet.
+	{Name: "policy.compiles", Kind: KindCounter, Labels: []string{"type", "org"}, Help: "Snapshot compilations."},
+	{Name: "policy.compile_ms", Kind: KindHistogram, Labels: []string{"type", "org"}, Help: "Snapshot compile latency in milliseconds."},
+	{Name: "policy.evaluate_ms", Kind: KindHistogram, Labels: []string{"type", "org"}, Help: "Policy snapshot evaluation latency in milliseconds."},
+	{Name: "policy.residual_compiles", Kind: KindCounter, Labels: []string{"type", "org"}, Help: "Residual snapshots specialized (partial evaluations actually run)."},
+	{Name: "policy.residual_hits", Kind: KindCounter, Labels: []string{"type", "org"}, Help: "Specialize calls served from the per-snapshot residual cache."},
+	{Name: "policy.residual_misses", Kind: KindCounter, Labels: []string{"type", "org"}, Help: "Specialize calls that missed the residual cache."},
 
 	// guard — per-guard verdicts and latencies.
 	{Name: "guard.decisions", Kind: KindCounter, Labels: []string{"guard", "decision"}, Help: "Guard verdicts, by guard and decision (allow, deny, deactivate)."},
@@ -72,9 +77,10 @@ var defs = []Def{
 	{Name: "guard.break_glass", Kind: KindCounter, Labels: []string{"guard"}, Help: "Allows obtained through an audited break-glass override."},
 	{Name: "guard.invalid_decision", Kind: KindCounter, Labels: []string{"guard"}, Help: "Malformed guard verdicts failed closed by the pipeline."},
 
-	// device — per-device event handling and actuation outcomes.
-	{Name: "device.events", Kind: KindCounter, Labels: []string{"device"}, Help: "Events handled by the device's policy logic."},
-	{Name: "device.executions", Kind: KindCounter, Labels: []string{"device", "result"}, Help: "Directed-action outcomes, by result (executed, denied, error)."},
+	// device — event handling and actuation outcomes, by device type
+	// and org.
+	{Name: "device.events", Kind: KindCounter, Labels: []string{"type", "org"}, Help: "Events handled by devices' policy logic."},
+	{Name: "device.executions", Kind: KindCounter, Labels: []string{"type", "org", "result"}, Help: "Directed-action outcomes, by result (executed, denied, error)."},
 
 	// engine — the discrete-event engine's parallel segments.
 	{Name: "engine.segment_events", Kind: KindHistogram, Help: "Events per parallel segment: a run of same-timestamp sharded events spread over the worker pool."},
@@ -176,13 +182,30 @@ func CheckName(name string) error {
 	return nil
 }
 
-// CheckNames verifies every name; the returned error joins all
-// violations.
-func CheckNames(names []string) error {
+// CheckSamples verifies a snapshot against the taxonomy: every
+// sample's name passes CheckName, and every sample carries exactly the
+// label keys its Def declares, so a call site can neither add, drop
+// nor misspell a key. The returned error joins all violations.
+func CheckSamples(samples []Sample) error {
 	var bad []string
-	for _, n := range names {
-		if err := CheckName(n); err != nil {
-			bad = append(bad, err.Error())
+	named := make(map[string]bool)
+	for _, s := range samples {
+		if err := CheckName(s.Name); err != nil {
+			if !named[s.Name] {
+				named[s.Name] = true
+				bad = append(bad, err.Error())
+			}
+			continue
+		}
+		keys := make([]string, len(s.Labels))
+		for i, l := range s.Labels {
+			keys[i] = l.Key
+		}
+		want := slices.Clone(defByName[s.Name].Labels)
+		sort.Strings(want)
+		if !slices.Equal(keys, want) {
+			bad = append(bad, fmt.Sprintf("telemetry: metric %s%s carries label keys %v, want %v",
+				s.Name, s.LabelString(), keys, want))
 		}
 	}
 	if len(bad) > 0 {

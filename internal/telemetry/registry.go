@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -118,8 +120,9 @@ func appendLabels(b []byte, labels []Label) []byte {
 }
 
 // Registry interns metric handles by (name, labels). Handle lookup
-// takes a mutex; the handles themselves update with single atomics, so
-// call sites that cache their handles have lock-free hot paths. A nil
+// takes a mutex and allocates only when it creates a metric; the
+// handles themselves update with single atomics, so call sites that
+// cache their handles have lock-free hot paths. A nil
 // *Registry hands out nil handles, which no-op — instrumentation can
 // be left in place unconditionally.
 type Registry struct {
@@ -144,14 +147,20 @@ func NewRegistry() *Registry {
 	}
 }
 
-// labelsFromKV pairs up a variadic "k1, v1, k2, v2" list, sorted by
-// key. Odd trailing keys get an empty value rather than panicking —
-// a misinstrumented call site must never crash the collective.
-func labelsFromKV(kv []string) []Label {
+// stackPairs is how many label pairs a lookup sorts in an array on
+// its own stack; longer lists spill to the heap.
+const stackPairs = 8
+
+// labelsFromKV pairs up a variadic "k1, v1, k2, v2" list into buf's
+// backing array (the heap once it is full), sorted by key; pairs with
+// equal keys keep their call-site order. Odd trailing keys get an
+// empty value rather than panicking — a misinstrumented call site must
+// never crash the collective.
+func labelsFromKV(buf []Label, kv []string) []Label {
 	if len(kv) == 0 {
 		return nil
 	}
-	labels := make([]Label, 0, (len(kv)+1)/2)
+	labels := buf[:0]
 	for i := 0; i < len(kv); i += 2 {
 		l := Label{Key: kv[i]}
 		if i+1 < len(kv) {
@@ -159,7 +168,7 @@ func labelsFromKV(kv []string) []Label {
 		}
 		labels = append(labels, l)
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
+	slices.SortStableFunc(labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return labels
 }
 
@@ -170,23 +179,31 @@ func metricKey(b []byte, name string, labels []Label) []byte {
 	return appendLabels(append(b, name...), labels)
 }
 
+// intern returns the metric for (name, kv) in m, creating it with
+// newMetric on a miss. The labels and key are built on the stack, so a
+// hit allocates nothing; only a miss copies them to the heap.
+func intern[T any](r *Registry, m map[string]*metricEntry[T], name string, kv []string, newMetric func() T) T {
+	var pairs [stackPairs]Label
+	labels := labelsFromKV(pairs[:], kv)
+	var buf [keyBuf]byte
+	key := metricKey(buf[:0], name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := m[string(key)]; ok {
+		return e.metric
+	}
+	e := &metricEntry[T]{name: name, labels: slices.Clone(labels), metric: newMetric()}
+	m[string(key)] = e
+	return e.metric
+}
+
 // Counter interns the counter for (name, labels). Labels are given as
 // alternating key, value strings.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	labels := labelsFromKV(kv)
-	var buf [keyBuf]byte
-	key := metricKey(buf[:0], name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.counters[string(key)]; ok {
-		return e.metric
-	}
-	e := &metricEntry[*Counter]{name: name, labels: labels, metric: &Counter{}}
-	r.counters[string(key)] = e
-	return e.metric
+	return intern(r, r.counters, name, kv, func() *Counter { return &Counter{} })
 }
 
 // Gauge interns the gauge for (name, labels).
@@ -194,17 +211,7 @@ func (r *Registry) Gauge(name string, kv ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	labels := labelsFromKV(kv)
-	var buf [keyBuf]byte
-	key := metricKey(buf[:0], name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.gauges[string(key)]; ok {
-		return e.metric
-	}
-	e := &metricEntry[*Gauge]{name: name, labels: labels, metric: &Gauge{}}
-	r.gauges[string(key)] = e
-	return e.metric
+	return intern(r, r.gauges, name, kv, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram interns the histogram for (name, labels) with the default
@@ -221,17 +228,7 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, kv ...string)
 	if r == nil {
 		return nil
 	}
-	labels := labelsFromKV(kv)
-	var buf [keyBuf]byte
-	key := metricKey(buf[:0], name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.histograms[string(key)]; ok {
-		return e.metric
-	}
-	e := &metricEntry[*Histogram]{name: name, labels: labels, metric: newHistogram(bounds)}
-	r.histograms[string(key)] = e
-	return e.metric
+	return intern(r, r.histograms, name, kv, func() *Histogram { return newHistogram(bounds) })
 }
 
 // CounterTotal sums every counter instance registered under the name,
@@ -304,29 +301,4 @@ func (r *Registry) Snapshot() []Sample {
 		return labelString(samples[i].Labels) < labelString(samples[j].Labels)
 	})
 	return samples
-}
-
-// Names returns the distinct metric names in use, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	set := make(map[string]bool)
-	for _, e := range r.counters {
-		set[e.name] = true
-	}
-	for _, e := range r.gauges {
-		set[e.name] = true
-	}
-	for _, e := range r.histograms {
-		set[e.name] = true
-	}
-	r.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,12 +22,12 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Error("same (name, labels) must intern to the same handle")
 	}
 
-	g := r.Gauge("policy.epoch", "device", "d1")
+	g := r.Gauge("bundle.revision", "root", "us")
 	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %g, want 7", got)
 	}
-	if r.Gauge("policy.epoch", "device", "d2") == g {
+	if r.Gauge("bundle.revision", "root", "uk") == g {
 		t.Error("different labels must intern to different handles")
 	}
 }
@@ -57,7 +58,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter must stay 0")
 	}
-	g := r.Gauge("policy.epoch")
+	g := r.Gauge("admission.queue_depth")
 	g.Set(4)
 	if g.Value() != 0 {
 		t.Error("nil gauge must stay 0")
@@ -67,7 +68,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if h.Count() != 0 {
 		t.Error("nil histogram must stay empty")
 	}
-	if r.Snapshot() != nil || r.Names() != nil {
+	if r.Snapshot() != nil {
 		t.Error("nil registry must snapshot empty")
 	}
 }
@@ -100,8 +101,8 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r.Counter("bus.dropped", "cause", "partition").Inc()
 		r.Counter("bus.dropped", "cause", "loss").Inc()
 		r.Counter("bus.delivered").Add(2)
-		r.Gauge("policy.epoch", "device", "d1").Set(3)
-		r.Histogram("policy.evaluate_ms", "device", "d1").Observe(0.2)
+		r.Gauge("bundle.revision", "root", "us").Set(3)
+		r.Histogram("policy.evaluate_ms", "type", "drone", "org", "us").Observe(0.2)
 		return r.Snapshot()
 	}
 	a, b := build(), build()
@@ -126,7 +127,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				r.Counter("bus.delivered").Inc()
 				r.Histogram("policy.evaluate_ms").Observe(float64(j))
-				r.Gauge("policy.epoch").Set(float64(j))
+				r.Gauge("admission.queue_depth").Set(float64(j))
 			}
 		}()
 	}
@@ -157,9 +158,6 @@ func TestCheckNames(t *testing.T) {
 			t.Errorf("CheckName(%q) passed, want error", bad)
 		}
 	}
-	if err := CheckNames([]string{"bus.delivered", "bogus.name"}); err == nil {
-		t.Error("CheckNames must surface unregistered names")
-	}
 }
 
 // TestLabelStringMatchesFmt: label values render exactly as fmt's %q
@@ -185,5 +183,139 @@ func TestLabelStringMatchesFmt(t *testing.T) {
 	}
 	if got := string(metricKey(nil, "m", nil)); got != "m" {
 		t.Errorf("metricKey without labels = %q, want m", got)
+	}
+}
+
+// TestDefsDeclareBoundedKeys: no metric declares a label key whose
+// values are per-instance identities. One series per device, ID, trace
+// or span would grow with the fleet; that detail belongs in /v1/fleet
+// and in traces.
+func TestDefsDeclareBoundedKeys(t *testing.T) {
+	unbounded := map[string]bool{"device": true, "id": true, "trace": true, "span": true}
+	for _, d := range defs {
+		seen := make(map[string]bool, len(d.Labels))
+		for _, k := range d.Labels {
+			if unbounded[k] {
+				t.Errorf("%s declares the per-instance label key %q", d.Name, k)
+			}
+			if seen[k] {
+				t.Errorf("%s declares label key %q twice", d.Name, k)
+			}
+			seen[k] = true
+		}
+	}
+}
+
+// TestCheckSamplesLabelKeys: a sample passes only with exactly the
+// label keys its Def declares, in any call-site order.
+func TestCheckSamplesLabelKeys(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("bus.delivered").Inc()
+	r.Counter("bus.dropped", "cause", "loss").Inc()
+	r.Counter("device.executions", "result", "executed", "org", "us", "type", "drone").Inc()
+	r.Histogram("policy.evaluate_ms", "type", "drone", "org", "us").Observe(1)
+	if err := CheckSamples(r.Snapshot()); err != nil {
+		t.Fatalf("declared keys rejected: %v", err)
+	}
+	for _, bad := range [][]string{
+		{"bus.dropped"}, // declared key missing
+		{"bus.dropped", "cause", "loss", "org", "us"},  // undeclared extra key
+		{"bus.delivered", "cause", "loss"},             // labels on an unlabeled metric
+		{"device.events", "device", "d1"},              // the retired per-device key
+		{"device.events", "type", "drone", "orgs", ""}, // misspelled key
+		{"bus.dropped", "cause", "loss", "cause", "x"}, // duplicate key
+		{"bogus.name"}, // unregistered name
+	} {
+		r := NewRegistry()
+		r.Counter(bad[0], bad[1:]...).Inc()
+		if err := CheckSamples(r.Snapshot()); err == nil {
+			t.Errorf("CheckSamples passed %s%s", bad[0], r.Snapshot()[0].LabelString())
+		}
+	}
+}
+
+// TestRegistryHitAllocs: resolving a handle that already exists
+// allocates nothing, for every kind and 0–4 label pairs, so a fleet
+// resolving shared handles leaves no per-device garbage.
+func TestRegistryHitAllocs(t *testing.T) {
+	r := NewRegistry()
+	for _, kv := range [][]string{
+		nil,
+		{"cause", "loss"},
+		{"type", "drone", "org", "us"},
+		{"type", "drone", "org", "us", "result", "executed"},
+		{"type", "drone", "org", "us", "result", "executed", "guard", "pre-action"},
+	} {
+		r.Counter("bus.dropped", kv...)
+		r.Gauge("bundle.lagging", kv...)
+		r.Histogram("guard.check_ms", kv...)
+		for kind, hit := range map[string]func(){
+			"counter":   func() { r.Counter("bus.dropped", kv...) },
+			"gauge":     func() { r.Gauge("bundle.lagging", kv...) },
+			"histogram": func() { r.Histogram("guard.check_ms", kv...) },
+		} {
+			if n := testing.AllocsPerRun(100, hit); n != 0 {
+				t.Errorf("%s hit with %d label pairs: %v allocs, want 0", kind, len(kv)/2, n)
+			}
+		}
+	}
+	// A literal variadic list, as call sites write it, stays on the
+	// caller's stack too.
+	r.Counter("device.executions", "type", "drone", "org", "us", "result", "denied")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("device.executions", "type", "drone", "org", "us", "result", "denied")
+	}); n != 0 {
+		t.Errorf("literal-label hit: %v allocs, want 0", n)
+	}
+}
+
+// TestRegistryConcurrentHitsAndMisses: goroutines resolving shared
+// handles (hits) and new ones (misses) on one registry, while another
+// snapshots it, lose no increment and intern each key once. Run it
+// under -race.
+func TestRegistryConcurrentHitsAndMisses(t *testing.T) {
+	r := NewRegistry()
+	const workers, rounds = 4, 300
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = r.Snapshot()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				r.Counter("device.events", "type", "drone", "org", "us").Inc()
+				r.Counter("bus.dropped", "cause", strconv.Itoa(w*rounds+j)).Inc()
+				r.Histogram("policy.evaluate_ms", "org", strconv.Itoa(j%7), "type", "drone").Observe(1)
+				r.Gauge("bundle.lagging", "root", strconv.Itoa(j%5)).Set(float64(j))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if got := r.CounterTotal("device.events"); got != workers*rounds {
+		t.Errorf("shared counter = %d, want %d", got, workers*rounds)
+	}
+	if got := r.CounterTotal("bus.dropped"); got != workers*rounds {
+		t.Errorf("per-key counters sum to %d, want %d", got, workers*rounds)
+	}
+	var hist uint64
+	for j := 0; j < 7; j++ {
+		hist += r.Histogram("policy.evaluate_ms", "type", "drone", "org", strconv.Itoa(j)).Count()
+	}
+	if hist != workers*rounds {
+		t.Errorf("histograms counted %d observations, want %d", hist, workers*rounds)
+	}
+	if got, want := len(r.Snapshot()), 1+workers*rounds+7+5; got != want {
+		t.Errorf("snapshot holds %d series, want %d", got, want)
 	}
 }

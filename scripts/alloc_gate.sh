@@ -30,7 +30,10 @@ names=$(awk '
 
 regex=$(printf '%s\n' "$names" | awk '{ printf "%s^%s$", sep, $0; sep = "|" }')
 echo "alloc_gate: running $(printf '%s\n' "$names" | tr '\n' ' ')"
-out=$(go test -run '^$' -bench "$regex" -benchtime=1x -benchmem $pkgs)
+# -p 1 runs the packages one after another: a one-iteration run that
+# shares the CPUs with another package's fleet benchmark can lose its
+# pooled scratch to a P move and read over budget.
+out=$(go test -p 1 -run '^$' -bench "$regex" -benchtime=1x -benchmem $pkgs)
 
 fail=0
 for name in $names; do
